@@ -130,7 +130,6 @@ impl Pixy {
             work_limit: 10_000_000,
             trace_limit: 12,
             taint_graph: false,
-            function_jobs: 1,
         };
         Pixy {
             engine: PhpSafe::new()

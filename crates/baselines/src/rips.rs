@@ -48,7 +48,6 @@ impl Rips {
             work_limit: 50_000_000,
             trace_limit: 12,
             taint_graph: false,
-            function_jobs: 1,
         };
         Rips {
             engine: PhpSafe::new()

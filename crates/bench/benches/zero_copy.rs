@@ -1,33 +1,22 @@
-//! `zero_copy` — what the ZAST v2 borrowed-view warm path and per-function
-//! parallel pre-summarization buy:
+//! `zero_copy` — what the ZAST v2 borrowed-view warm path buys:
 //!
 //! 1. **Load paths**: on the largest 2014-corpus file, a cold
-//!    lex-and-parse vs the PAST v1 streaming decode vs the ZAST v2
-//!    validate-and-thaw (one bounds-checked validation pass over the
-//!    `Arc<[u8]>` payload, then a bulk pool relocation). All three must
-//!    produce the same [`php_ast::ParsedFile`].
+//!    lex-and-parse vs the ZAST v2 validate-and-thaw (one bounds-checked
+//!    validation pass over the `Arc<[u8]>` payload, then a bulk pool
+//!    relocation). Both must produce the same [`php_ast::ParsedFile`].
 //! 2. **Warm daemon request**: a fresh server process (cold memory) over a
 //!    populated `--cache-dir` answers one analyze request from the
 //!    outcome tier; best-of-N must stay under 5 ms.
-//! 3. **Per-function scaling**: the corpus plugin owning the largest
-//!    single file, analyzed at `function_jobs` 1 / 2 / all cores. The
-//!    outcome JSON must be byte-identical at every count, and at any
-//!    count above 1 the largest file's analysis must split into many
-//!    sub-file jobs (`engine.presummarize_jobs`) — the structural win;
-//!    the wall-clock win on top of it requires more than one core.
 //!
-//! Results land in `BENCH_zero_copy.json` (smoke mode writes to a temp
-//! dir instead).
+//! Results are printed; the repository's recorded figures come from
+//! `perfbench` (see `perfbench/README.md`).
 //!
 //! Run: `cargo bench -p phpsafe-bench --bench zero_copy [-- --smoke]`
 
-use phpsafe::{AnalysisServer, EngineCaches, PhpSafe, PluginProject};
+use phpsafe::{AnalysisServer, EngineCaches};
 use phpsafe_corpus::{Corpus, Version};
 use phpsafe_engine::DiskCache;
-use phpsafe_obs::write_atomic;
 use phpsafe_serve::{AnalyzeRequest, Json, RequestCtx, Service};
-use std::fmt::Write as _;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -58,25 +47,6 @@ fn largest_corpus_file() -> (String, String) {
     best.expect("corpus has files")
 }
 
-/// The corpus plugin whose largest single file is the largest across the
-/// whole 2014 corpus — the file per-file jobs cannot split any further.
-fn largest_file_plugin() -> PluginProject {
-    let corpus = Corpus::generate();
-    corpus
-        .plugins()
-        .iter()
-        .map(|p| p.project(Version::V2014))
-        .max_by_key(|proj| {
-            proj.files()
-                .iter()
-                .map(|f| f.content.len())
-                .max()
-                .unwrap_or(0)
-        })
-        .expect("corpus has plugins")
-        .clone()
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let root = std::env::temp_dir().join(format!("phpsafe-zero-copy-{}", std::process::id()));
@@ -88,26 +58,20 @@ fn main() {
     // --- 1. load paths on the largest corpus file ---
     let (path, src) = largest_corpus_file();
     let parsed = php_ast::parse(&src);
-    let past = php_ast::codec::encode_file(&parsed);
     let zast: Arc<[u8]> = Arc::from(php_ast::zast::encode_file(&parsed));
 
-    let decoded = php_ast::codec::decode_file(&past).expect("PAST round-trip");
-    assert_eq!(decoded, parsed, "PAST decode must reproduce the parse");
     let view = php_ast::zast::ParsedFileRef::new(Arc::clone(&zast)).expect("ZAST validates");
     assert_eq!(view.thaw(), parsed, "ZAST thaw must reproduce the parse");
 
     let parse_us = time_us(iters, || {
         std::hint::black_box(php_ast::parse(&src));
     });
-    let decode_us = time_us(iters, || {
-        std::hint::black_box(php_ast::codec::decode_file(&past).unwrap());
-    });
     let borrow_us = time_us(iters, || {
         let view = php_ast::zast::ParsedFileRef::new(Arc::clone(&zast)).unwrap();
         std::hint::black_box(view.thaw());
     });
     println!(
-        "load paths ({path}, {} bytes, {} nodes): parse={parse_us}us decode={decode_us}us borrow={borrow_us}us",
+        "load paths ({path}, {} bytes, {} nodes): parse={parse_us}us borrow={borrow_us}us",
         src.len(),
         parsed.arena.node_count(),
     );
@@ -164,95 +128,6 @@ fn main() {
         warm_best_us < 5_000,
         "cold-memory/warm-disk request must answer in under 5ms, took {warm_best_us}us"
     );
-
-    // --- 3. per-function scaling on the largest-file plugin ---
-    phpsafe_obs::set_enabled(true);
-    let subject = largest_file_plugin();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let job_counts: Vec<usize> = if cores > 2 {
-        vec![1, 2, cores]
-    } else {
-        vec![1, 2]
-    };
-    let scale_iters = if smoke { 3 } else { 9 };
-    let reference = PhpSafe::new()
-        .analyze_with_caches(&subject, Some(&EngineCaches::new()))
-        .to_json()
-        .unwrap();
-    let mut scaling = Vec::new();
-    for &jobs in &job_counts {
-        let tool = PhpSafe::new().with_function_jobs(jobs);
-        let before = phpsafe_obs::snapshot();
-        let us = time_us(scale_iters, || {
-            // Fresh caches per run: a warm summary cache would make every
-            // job count instant and measure nothing.
-            let caches = EngineCaches::new();
-            let out = tool
-                .analyze_with_caches(&subject, Some(&caches))
-                .to_json()
-                .unwrap();
-            assert_eq!(out, reference, "function_jobs={jobs} changed the outcome");
-            caches.record();
-        });
-        let delta = phpsafe_obs::snapshot().since(&before);
-        let split = delta.counter("engine.presummarize_jobs") / scale_iters as u64;
-        let replays = delta.counter("cache.summary.hits") / scale_iters as u64;
-        if jobs > 1 {
-            // The structural gate: the file per-file jobs could never
-            // split must now fan out into many sub-file units.
-            assert!(
-                split >= 2,
-                "function_jobs={jobs} must split the plugin into sub-file jobs, got {split}"
-            );
-        }
-        println!("function_jobs={jobs}: {us}us split={split} replays={replays}");
-        scaling.push((jobs, us, split, replays));
-    }
-
-    // --- render the artifact ---
-    let mut doc = String::new();
-    let _ = writeln!(doc, "{{");
-    let _ = writeln!(doc, "  \"bench\": \"zero_copy\",");
-    let _ = writeln!(doc, "  \"smoke\": {smoke},");
-    let _ = writeln!(
-        doc,
-        "  \"machine\": {{\"cores\": {cores}, \"note\": \"median of {iters} iterations per load path; warm daemon timed over a fresh server per request (cold memory, warm disk)\"}},"
-    );
-    let _ = writeln!(
-        doc,
-        "  \"load_paths\": {{\"file\": \"{path}\", \"bytes\": {}, \"nodes\": {}, \"cold_parse_us\": {parse_us}, \"past_decode_us\": {decode_us}, \"zast_borrow_us\": {borrow_us}, \"borrow_vs_parse\": {:.2}, \"borrow_vs_decode\": {:.2}}},",
-        src.len(),
-        parsed.arena.node_count(),
-        parse_us as f64 / borrow_us.max(1) as f64,
-        decode_us as f64 / borrow_us.max(1) as f64,
-    );
-    let _ = writeln!(
-        doc,
-        "  \"warm_daemon_request\": {{\"samples\": {warm_iters}, \"best_us\": {warm_best_us}, \"median_us\": {warm_median_us}, \"under_5ms\": {}}},",
-        warm_best_us < 5_000
-    );
-    let _ = writeln!(
-        doc,
-        "  \"function_jobs_scaling\": {{\"subject\": \"largest-file 2014 corpus plugin\", \"note\": \"sub_file_jobs is the structural win (the largest file's analysis becomes divisible); the wall-clock win on top requires >1 core\", \"runs\": ["
-    );
-    for (i, (jobs, us, split, replays)) in scaling.iter().enumerate() {
-        let _ = writeln!(
-            doc,
-            "    {{\"function_jobs\": {jobs}, \"median_us\": {us}, \"speedup_vs_serial\": {:.2}, \"sub_file_jobs\": {split}, \"summary_replays\": {replays}}}{}",
-            scaling[0].1 as f64 / (*us).max(1) as f64,
-            if i + 1 < scaling.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(doc, "  ]}}");
-    let _ = writeln!(doc, "}}");
-
-    let out = if smoke {
-        root.join("BENCH_zero_copy.json")
-    } else {
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_zero_copy.json")
-    };
-    write_atomic(&out, doc.as_bytes()).expect("write BENCH_zero_copy.json");
-    println!("wrote {}", out.display());
 
     let _ = std::fs::remove_dir_all(&root);
 }

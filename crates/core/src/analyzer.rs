@@ -56,13 +56,6 @@ pub struct AnalyzerOptions {
     /// walk-per-analysis path stays the oracle; outcomes are required to
     /// be byte-identical between the two.
     pub taint_graph: bool,
-    /// Worker threads for the per-function pre-summarization pass inside
-    /// one analysis — engine jobs *below* file granularity. `1` (the
-    /// default) skips the pass entirely; higher values fan shareable free
-    /// functions out over the engine pool before the walk. A scheduling
-    /// knob, not a semantic switch: outcomes are byte-identical at any
-    /// value, so it is excluded from [`PhpSafe::fingerprint`].
-    pub function_jobs: usize,
 }
 
 impl Default for AnalyzerOptions {
@@ -79,7 +72,6 @@ impl Default for AnalyzerOptions {
             work_limit: 400_000,
             trace_limit: 12,
             taint_graph: false,
-            function_jobs: 1,
         }
     }
 }
@@ -148,14 +140,6 @@ impl PhpSafe {
         self
     }
 
-    /// Sets the per-function pre-summarization worker count (`1` =
-    /// serial, the default). Outcomes are identical at any value; only
-    /// the cost of the analysis changes.
-    pub fn with_function_jobs(mut self, jobs: usize) -> Self {
-        self.options.function_jobs = jobs.max(1);
-        self
-    }
-
     /// Current options (read-only).
     pub fn options(&self) -> &AnalyzerOptions {
         &self.options
@@ -172,16 +156,11 @@ impl PhpSafe {
     /// artifacts (summary blobs, rendered daemon responses) on this, so
     /// flipping any switch invalidates them.
     pub fn fingerprint(&self) -> u64 {
-        // `function_jobs` is a scheduling knob — outcomes are identical
-        // at any value — so it is canonicalized out: runs at different
-        // job counts share persisted artifacts.
-        let mut canon = self.options.clone();
-        canon.function_jobs = 1;
         let text = format!(
             "{}\x1f{:016x}\x1f{:?}",
             self.tool_name,
             self.config.fingerprint(),
-            canon
+            self.options
         );
         phpsafe_engine::fnv1a_64(text.as_bytes())
     }
@@ -309,80 +288,6 @@ impl PhpSafe {
         outcome
     }
 
-    /// Per-function parallelism: fans the shareable free functions out
-    /// over the engine's ordered pool *before* the walk, each job
-    /// executing one function with all-clean arguments against a private
-    /// summary cache (exactly the summary the uncalled sweep computes),
-    /// then merges the deposits into the shared cache in submission
-    /// order. Replaying a summary is already pinned byte-identical to
-    /// re-execution, so warming summaries early changes the walk's cost,
-    /// never its outcome.
-    fn presummarize(
-        &self,
-        project: &PluginProject,
-        parsed: &HashMap<String, Arc<ParsedFile>>,
-        symbols: &SymbolTable,
-        shared: &Arc<crate::caching::SummaryCache>,
-    ) {
-        use crate::caching::{shareable_calls, SummaryCache, SummaryKey};
-        use crate::symbols::FnInfo;
-        use crate::taint::VarState;
-        let _span = phpsafe_obs::span!("analyze.presummarize");
-        let mut jobs: Vec<&FnInfo> = symbols
-            .functions()
-            .filter(|info| match shareable_calls(&info.ast, &info.decl) {
-                // Only bodies whose recorded calls all resolve to
-                // built-ins can ever deposit a summary; skip the rest.
-                Some(calls) => calls.iter().all(|n| symbols.function(n).is_none()),
-                None => false,
-            })
-            .collect();
-        // The symbol table iterates in hash order; pin the submission
-        // (and thus merge) order.
-        jobs.sort_by(|x, y| x.decl.name.as_str().cmp(y.decl.name.as_str()));
-        if jobs.is_empty() {
-            return;
-        }
-        phpsafe_obs::count("engine.presummarize_jobs", jobs.len() as u64);
-        // Batch functions per job so one Interp (and its hash maps)
-        // amortizes over a chunk; ~4 chunks per worker keeps the pool
-        // load-balanced when function costs are skewed.
-        let workers = self.options.function_jobs;
-        let chunk = jobs.len().div_ceil(workers * 4).max(1);
-        let batches: Vec<Vec<&FnInfo>> = jobs.chunks(chunk).map(<[_]>::to_vec).collect();
-        let (deposits, _stats) = phpsafe_engine::run_ordered(batches, workers, |_, batch| {
-            let local = Arc::new(SummaryCache::new());
-            let mut interp = Interp::new(
-                &self.config,
-                &self.options,
-                symbols,
-                project,
-                parsed,
-                Some(Arc::clone(&local)),
-            );
-            for info in batch {
-                // A warm cache already has most of these; the key probe
-                // (a declaration pretty-print) runs here, inside the
-                // parallel region, not on the coordinator.
-                let args = vec![VarState::clean(); info.decl.params.len()];
-                if shared
-                    .peek(&SummaryKey::new(&info.ast, &info.decl, &args))
-                    .is_none()
-                {
-                    interp.presummarize(info);
-                }
-            }
-            local.entries()
-        });
-        // First writer wins per key, in submission order — safe because
-        // executing equal keys deposits equal summaries.
-        for (key, summary) in deposits.into_iter().flatten() {
-            if shared.peek(&key).is_none() {
-                shared.insert(key, (*summary).clone());
-            }
-        }
-    }
-
     /// The four-stage pipeline, optionally recording the taint graph as a
     /// side effect of the walk. The `record: false` path is byte-for-byte
     /// the legacy analyzer.
@@ -450,11 +355,6 @@ impl PhpSafe {
             c.warm_summaries(&self.tool_name, self.fingerprint());
             c.summaries_for(&self.tool_name)
         });
-        if self.options.summaries && self.options.function_jobs > 1 {
-            if let Some(shared) = summaries.as_ref() {
-                self.presummarize(project, &parsed, &symbols, shared);
-            }
-        }
         let mut interp = Interp::new(
             &self.config,
             &self.options,

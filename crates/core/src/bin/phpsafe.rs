@@ -63,9 +63,6 @@ OPTIONS:
     --jobs <N>          worker threads when analyzing several paths
                         (default: available parallelism; results do not
                         depend on N)
-    --fn-jobs <N>       worker threads for per-function pre-summarization
-                        inside each analysis (default 1; results do not
-                        depend on N — use when analyzing one large path)
     --engine-stats      print scheduler/cache statistics to stderr
     --engine-stats-json <FILE>
                         write the same statistics as JSON to FILE
@@ -123,7 +120,8 @@ OPTIONS:
     --stdio             speak the protocol over stdin/stdout instead of TCP
     --cache-dir <DIR>   persistent artifact cache shared with batch runs
     --profile <NAME>    wordpress (default) | php | drupal | joomla
-    --jobs <N>          default engine workers per analyze request
+    --jobs <N>          (path, tool) analyses one analyze request runs at
+                        once, unless the request sets \"jobs\"
     --workers <N>       concurrent analyze requests (default: 1)
     --queue <N>         queued-request bound before 429 rejection
                         (default: 64)
@@ -160,7 +158,6 @@ struct Cli {
     html: bool,
     inspect: bool,
     jobs: usize,
-    fn_jobs: usize,
     engine_stats: bool,
     engine_stats_json: Option<PathBuf>,
     metrics_out: Option<PathBuf>,
@@ -182,7 +179,6 @@ impl Default for Cli {
             html: false,
             inspect: false,
             jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            fn_jobs: 1,
             engine_stats: false,
             engine_stats_json: None,
             metrics_out: None,
@@ -238,14 +234,6 @@ fn parse_args(argv: &[String]) -> Result<Cli, String> {
                 cli.jobs = v
                     .parse()
                     .map_err(|_| format!("--jobs requires a number, got `{v}`"))?;
-            }
-            "--fn-jobs" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| "--fn-jobs requires a value".to_string())?;
-                cli.fn_jobs = v
-                    .parse()
-                    .map_err(|_| format!("--fn-jobs requires a number, got `{v}`"))?;
             }
             "--profile" => {
                 cli.profile = Some(
@@ -453,7 +441,6 @@ fn main() -> ExitCode {
         resolve_includes: !cli.no_includes,
         analyze_uncalled: !cli.no_uncalled,
         taint_graph: cli.taint_graph,
-        function_jobs: cli.fn_jobs.max(1),
         ..AnalyzerOptions::default()
     };
 

@@ -33,18 +33,14 @@ use phpsafe_engine::{
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Disk namespace for encoded [`ParsedFile`]s. The envelope's crate
-/// version plus each codec's own magic/version words guard the format, so
-/// the config fingerprint is unused (parsing is configuration-independent).
-///
-/// New entries are written in the zero-copy ZAST v2 layout
-/// ([`php_ast::zast`]); loads dispatch on the payload magic, so PAST v1
-/// entries from older runs still decode through
-/// [`php_ast::codec::decode_file`] instead of being dropped.
+/// Disk namespace for encoded [`ParsedFile`]s, stored in the zero-copy
+/// ZAST v2 layout ([`php_ast::zast`]). The envelope's crate version plus
+/// the layout's own magic/version words guard the format.
 pub const AST_NAMESPACE: &str = "ast";
-/// Fingerprint the `ast` namespace is stored under (parsing is
-/// configuration-independent, so a constant).
-pub const AST_FINGERPRINT: u64 = 0;
+/// Fingerprint the `ast` namespace is stored under. Parsing is
+/// configuration-independent, so this only versions the payload format.
+// 1: entries written under 0 may hold the retired PAST v1 codec.
+pub const AST_FINGERPRINT: u64 = 1;
 
 /// Flags a [`DiskCache::store`] result at an engine call site. Individual
 /// failures already warn with the exact path and count into
@@ -122,45 +118,36 @@ impl AstCache {
     /// `stage.parse` histograms on misses only (hits cost a hash plus a
     /// map lookup).
     ///
-    /// With a disk tier, a miss first tries the persisted AST. A ZAST v2
+    /// With a disk tier, a miss first tries the persisted AST. The ZAST
     /// entry is validated once and *borrowed* — a [`ParsedFileRef`] view
     /// over the loaded buffer whose pools are bulk-relocated without
-    /// re-decoding (counted in `diskcache.borrowed_loads`); an old PAST v1
-    /// entry falls back to the streaming [`decode_file`] path. Validation
-    /// or decode failures drop the entry and fall back to a fresh parse,
-    /// which is written back in the ZAST layout.
+    /// re-decoding (counted in `diskcache.borrowed_loads`). A validation
+    /// failure drops the entry and falls back to a fresh parse, which is
+    /// written back.
     ///
     /// [`ParsedFileRef`]: php_ast::zast::ParsedFileRef
-    /// [`decode_file`]: php_ast::codec::decode_file
     pub fn parse(&self, src: &str) -> Arc<ParsedFile> {
         let key = ContentKey::of(src.as_bytes());
         let (ast, _hit) = self.cache.get_or_build(key, || {
             if let Some(disk) = &self.disk {
                 if let Some(loaded) = disk.load_mapped(AST_NAMESPACE, key, AST_FINGERPRINT) {
-                    if php_ast::zast::looks_like(loaded.as_slice()) {
-                        // Mapped entries are validated in place: the view
-                        // borrows the mapping itself, so the only copy on
-                        // the warm path is the final pool relocation.
-                        let payload = match loaded {
-                            LoadedPayload::Mapped { file, offset, len } => {
-                                php_ast::zast::PayloadBytes::from_owner(file, offset, len)
-                            }
-                            LoadedPayload::Owned(bytes) => {
-                                php_ast::zast::PayloadBytes::from_arc(Arc::from(bytes))
-                            }
-                        };
-                        match php_ast::zast::ParsedFileRef::from_bytes(payload) {
-                            Ok(view) => {
-                                phpsafe_obs::count("diskcache.borrowed_loads", 1);
-                                return view.thaw();
-                            }
-                            Err(_) => disk.note_corrupt(AST_NAMESPACE, key),
+                    // Mapped entries are validated in place: the view
+                    // borrows the mapping itself, so the only copy on the
+                    // warm path is the final pool relocation.
+                    let payload = match loaded {
+                        LoadedPayload::Mapped { file, offset, len } => {
+                            php_ast::zast::PayloadBytes::from_owner(file, offset, len)
                         }
-                    } else {
-                        match php_ast::codec::decode_file(loaded.as_slice()) {
-                            Ok(file) => return file,
-                            Err(_) => disk.note_corrupt(AST_NAMESPACE, key),
+                        LoadedPayload::Owned(bytes) => {
+                            php_ast::zast::PayloadBytes::from_arc(Arc::from(bytes))
                         }
+                    };
+                    match php_ast::zast::ParsedFileRef::from_bytes(payload) {
+                        Ok(view) => {
+                            phpsafe_obs::count("diskcache.borrowed_loads", 1);
+                            return view.thaw();
+                        }
+                        Err(_) => disk.note_corrupt(AST_NAMESPACE, key),
                     }
                 }
             }

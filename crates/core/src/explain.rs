@@ -33,7 +33,7 @@ fn infer_label(step: &TraceStep) -> &'static str {
 /// Renders the provenance chain of one vulnerability.
 ///
 /// `events` is the taint-event stream of the run (e.g.
-/// [`phpsafe_obs::events`]); pass an empty slice to explain from the trace
+/// [`mod@phpsafe_obs::events`]); pass an empty slice to explain from the trace
 /// alone. The chain always ends in the sink line, and always states which
 /// sanitizers the flow passed — explicitly saying so when there were none.
 pub fn explain_vuln(vuln: &Vulnerability, events: &[TaintEvent]) -> String {

@@ -230,18 +230,6 @@ impl<'a> Interp<'a> {
         }
     }
 
-    /// Analyzes one free function with all-clean arguments, exactly as the
-    /// uncalled sweep would (`force: true`, no memo). Used by the
-    /// per-function parallel pre-summarization pass: the return value is
-    /// irrelevant, the interesting side effect is the entry deposited in
-    /// this interpreter's summary cache.
-    pub(crate) fn presummarize(&mut self, info: &crate::symbols::FnInfo) {
-        self.work = 0;
-        self.failed = None;
-        let args = vec![VarState::clean(); info.decl.params.len()];
-        self.call_decl(&info.ast, &info.decl, &info.file, args, None, true);
-    }
-
     // ================== statements ==================
 
     fn exec_stmts(&mut self, a: &Arena, stmts: StmtRange, f: &mut Frame) {

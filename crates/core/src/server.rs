@@ -49,21 +49,6 @@ pub trait ServeTool: Send + Sync {
     /// Analyzes one project, sharing the daemon's caches.
     fn analyze_cached(&self, project: &PluginProject, caches: &EngineCaches) -> AnalysisOutcome;
 
-    /// [`ServeTool::analyze_cached`] with a worker-count hint for
-    /// sub-file parallelism (per-function pre-summarization). The server
-    /// passes the request's job count when only one analysis slot missed
-    /// the outcome cache — otherwise the workers are already busy with
-    /// whole analyses. Tools that cannot split below file granularity
-    /// ignore the hint; outcomes must be identical either way.
-    fn analyze_cached_jobs(
-        &self,
-        project: &PluginProject,
-        caches: &EngineCaches,
-        _function_jobs: usize,
-    ) -> AnalysisOutcome {
-        self.analyze_cached(project, caches)
-    }
-
     /// Slugs of the vulnerability classes this tool's profile can report
     /// (classes with at least one configured sink), registry order.
     fn vuln_classes(&self) -> Vec<String> {
@@ -78,20 +63,6 @@ impl ServeTool for PhpSafe {
 
     fn analyze_cached(&self, project: &PluginProject, caches: &EngineCaches) -> AnalysisOutcome {
         self.analyze_with_caches(project, Some(caches))
-    }
-
-    fn analyze_cached_jobs(
-        &self,
-        project: &PluginProject,
-        caches: &EngineCaches,
-        function_jobs: usize,
-    ) -> AnalysisOutcome {
-        if function_jobs <= 1 {
-            return self.analyze_cached(project, caches);
-        }
-        self.clone()
-            .with_function_jobs(function_jobs)
-            .analyze_with_caches(project, Some(caches))
     }
 
     fn vuln_classes(&self) -> Vec<String> {
@@ -194,14 +165,10 @@ impl AnalysisServer {
             .collect()
     }
 
-    /// The rendered-outcome cache key for a project.
-    fn outcome_key(project: &PluginProject) -> ContentKey {
-        project.content_key()
-    }
-
-    fn cached_report(&self, tool: &dyn ServeTool, project: &PluginProject) -> Option<String> {
+    /// The rendered report of `tool` for the project whose content key is
+    /// `key`, from the disk outcome tier.
+    fn cached_report(&self, tool: &dyn ServeTool, key: ContentKey) -> Option<String> {
         let disk = self.caches.disk()?;
-        let key = Self::outcome_key(project);
         let bytes = disk.load(OUTCOME_NAMESPACE, key, tool.fingerprint())?;
         match String::from_utf8(bytes) {
             Ok(report) => Some(report),
@@ -212,11 +179,11 @@ impl AnalysisServer {
         }
     }
 
-    fn store_report(&self, tool: &dyn ServeTool, project: &PluginProject, report: &str) {
+    fn store_report(&self, tool: &dyn ServeTool, key: ContentKey, report: &str) {
         if let Some(disk) = self.caches.disk() {
             disk.store(
                 OUTCOME_NAMESPACE,
-                Self::outcome_key(project),
+                key,
                 tool.fingerprint(),
                 report.as_bytes(),
             );
@@ -267,13 +234,19 @@ impl AnalysisServer {
     /// Records what was analyzed for each root, so a later `invalidate`
     /// can diff a reload against it and consult the matching dependency
     /// graph.
-    fn remember(&self, roots: &[String], projects: &[PluginProject], tools: &[String]) {
+    fn remember(
+        &self,
+        roots: &[String],
+        projects: &[PluginProject],
+        keys: &[ContentKey],
+        tools: &[String],
+    ) {
         let mut states = self.projects.lock().unwrap();
         for (pi, project) in projects.iter().enumerate() {
             states.insert(
                 roots[pi].trim_end_matches('/').to_owned(),
                 ProjectState {
-                    key: project.content_key(),
+                    key: keys[pi],
                     file_hashes: file_hashes(project),
                     tools: tools.to_vec(),
                 },
@@ -317,10 +290,12 @@ impl Service for AnalysisServer {
                 &mut warnings,
             );
         }
-        self.remember(&request.paths, &projects, &request.tools);
+        // Each project is hashed once; the key serves the root state, the
+        // telemetry record and both outcome-tier probes and stores.
+        let keys: Vec<ContentKey> = projects.iter().map(PluginProject::content_key).collect();
+        self.remember(&request.paths, &projects, &keys, &request.tools);
         ctx.mark("load_us", stage.elapsed());
-        if let Some(first) = projects.first() {
-            let key = Self::outcome_key(first);
+        if let Some(key) = keys.first() {
             ctx.set_content_key(format!("{:016x}-{:x}", key.hash, key.len));
         }
 
@@ -329,10 +304,10 @@ impl Service for AnalysisServer {
         let stage = Instant::now();
         let mut reports: Vec<Vec<Option<String>>> = Vec::new();
         let mut misses = Vec::new();
-        for (pi, project) in projects.iter().enumerate() {
+        for (pi, &key) in keys.iter().enumerate() {
             let mut row = Vec::new();
             for (ti, (_, tool)) in tools.iter().enumerate() {
-                let hit = self.cached_report(*tool, project);
+                let hit = self.cached_report(*tool, key);
                 if hit.is_none() {
                     misses.push((pi, ti));
                 }
@@ -347,19 +322,14 @@ impl Service for AnalysisServer {
         ctx.add_cache_misses(misses.len() as u64);
 
         let stage = Instant::now();
-        // With a single miss the pool has nothing to parallelize across,
-        // so hand the workers to the one analysis as per-function jobs.
-        let fn_jobs = if misses.len() == 1 { jobs } else { 1 };
         let (outcomes, _stats) = run_ordered(misses.clone(), jobs, |_, (pi, ti)| {
-            tools[ti]
-                .1
-                .analyze_cached_jobs(&projects[pi], &self.caches, fn_jobs)
+            tools[ti].1.analyze_cached(&projects[pi], &self.caches)
         });
         for ((pi, ti), outcome) in misses.into_iter().zip(outcomes) {
             let report = outcome
                 .to_json()
                 .map_err(|e| format!("report serialization failed: {e}"))?;
-            self.store_report(tools[ti].1, &projects[pi], &report);
+            self.store_report(tools[ti].1, keys[pi], &report);
             reports[pi][ti] = Some(report);
         }
         ctx.mark("analyze_us", stage.elapsed());
@@ -495,16 +465,17 @@ impl Service for AnalysisServer {
             phpsafe_obs::count("incremental.files_dirty", dirty.len() as u64);
             phpsafe_obs::count("depgraph.invalidated", affected.len() as u64);
 
+            let key = project.content_key();
             let tools = self.resolve_tools(&state.tools)?;
             let parse_misses_before = self.caches.totals().parse.misses;
             let mut reanalyzed = false;
             for (_, tool) in &tools {
-                if self.cached_report(*tool, &project).is_none() {
+                if self.cached_report(*tool, key).is_none() {
                     let outcome = tool.analyze_cached(&project, &self.caches);
                     let report = outcome
                         .to_json()
                         .map_err(|e| format!("report serialization failed: {e}"))?;
-                    self.store_report(*tool, &project, &report);
+                    self.store_report(*tool, key, &report);
                     reanalyzed = true;
                 }
             }
@@ -519,7 +490,7 @@ impl Service for AnalysisServer {
             self.projects.lock().unwrap().insert(
                 root.clone(),
                 ProjectState {
-                    key: project.content_key(),
+                    key,
                     file_hashes: new_hashes,
                     tools: state.tools.clone(),
                 },

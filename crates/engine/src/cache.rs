@@ -78,13 +78,6 @@ impl<K: Eq + Hash, V> ArtifactCache<K, V> {
         found
     }
 
-    /// Looks `key` up without touching the hit/miss counters. For
-    /// coordinator-side "is it there yet?" checks (e.g. merging
-    /// pre-computed artifacts) that must not distort cache statistics.
-    pub fn peek(&self, key: &K) -> Option<Arc<V>> {
-        self.map.lock().unwrap().get(key).cloned()
-    }
-
     /// Stores an artifact, returning the shared handle. If another worker
     /// raced us to the key, their artifact wins (callers must produce
     /// equivalent artifacts for equal keys).

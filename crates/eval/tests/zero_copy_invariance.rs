@@ -1,10 +1,9 @@
-//! The zero-copy warm-path and per-function parallelism gate: an analysis
-//! must be byte-identical no matter how its ASTs arrived (cold parse,
-//! PAST v1 streaming decode, ZAST v2 borrowed view) and no matter how its
-//! work was scheduled (serial, 1 or 8 engine workers, per-file or
-//! per-function jobs). The `ast` disk namespace is a cost channel only:
-//! corrupting, mixing or deleting entries may slow a run down but can
-//! never change a table, a figure or an `--explain` chain.
+//! The zero-copy warm-path gate: an analysis must be byte-identical no
+//! matter how its ASTs arrived (cold parse or ZAST v2 borrowed view) and
+//! no matter how its work was scheduled (serial, 1 or 8 engine workers).
+//! The `ast` disk namespace is a cost channel only: corrupting, staling
+//! or deleting entries may slow a run down but can never change a table,
+//! a figure or an `--explain` chain.
 
 use phpsafe::caching::{AST_FINGERPRINT, AST_NAMESPACE};
 use phpsafe::{EngineCaches, PhpSafe, PluginProject, SourceFile};
@@ -21,9 +20,9 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A multi-file probe with real findings, shareable leaf functions (the
-/// per-function pass picks those up), an include edge, and a class — so
-/// every load path exercises non-trivial arenas.
+/// A multi-file probe with real findings, shareable leaf functions, an
+/// include edge, and a class — so every load path exercises non-trivial
+/// arenas.
 fn probe_project() -> PluginProject {
     PluginProject::new("zc-probe")
         .with_file(SourceFile::new(
@@ -92,7 +91,7 @@ fn explain_chains(
 // One test function: the obs counters and the events-enabled flag are
 // process-global, so phases must not race each other.
 #[test]
-fn outcomes_identical_across_load_paths_and_function_jobs() {
+fn outcomes_identical_across_load_paths() {
     phpsafe_obs::set_enabled(true);
     let project = probe_project();
     let tool = PhpSafe::new();
@@ -131,49 +130,45 @@ fn outcomes_identical_across_load_paths_and_function_jobs() {
     assert_eq!(dc.evicted, 0, "no entry may be dropped as stale");
     assert!(dc.bytes_read > 0, "warm loads must count bytes_read");
 
-    // --- mixed-version dir: PAST v1 entries fall back to decode_file ---
-    let dir2 = temp_dir("mixed");
+    // --- stale dir: entries from before the AST_FINGERPRINT bump ---
+    let dir2 = temp_dir("stale");
     let disk2 = Arc::new(DiskCache::open(&dir2).unwrap());
-    // Seed *one* file in the legacy PAST v1 layout, as an old process
-    // would have; leave the other to be freshly parsed and stored as
-    // ZAST v2 — after which the namespace holds both formats at once.
-    let legacy = &project.files()[0];
-    let key = ContentKey::of(legacy.content.as_bytes());
-    let encoded = php_ast::codec::encode_file(&php_ast::parse(&legacy.content));
-    assert!(disk2.store(AST_NAMESPACE, key, AST_FINGERPRINT, &encoded));
-    let before = phpsafe_obs::snapshot();
+    // Seed one file under the old fingerprint `0`, as a process from
+    // before the bump would have (whatever its payload); it must miss as
+    // stale, re-parse, and be rewritten as ZAST.
+    let stale = &project.files()[0];
+    let key = ContentKey::of(stale.content.as_bytes());
+    assert_ne!(AST_FINGERPRINT, 0);
+    assert!(disk2.store(AST_NAMESPACE, key, 0, b"PAST\x01 pre-bump entry"));
     {
         let caches = EngineCaches::with_disk(Arc::clone(&disk2));
-        let mixed_cold = tool
+        let stale_cold = tool
             .analyze_with_caches(&project, Some(&caches))
             .to_json()
             .unwrap();
-        assert_eq!(cold, mixed_cold, "PAST v1 decode path diverged");
+        assert_eq!(cold, stale_cold, "stale-entry run diverged from cold parse");
     }
-    let delta = phpsafe_obs::snapshot().since(&before);
-    assert_eq!(
-        delta.counter("diskcache.borrowed_loads"),
-        0,
-        "the PAST entry must decode, the missing one must parse — neither borrows"
-    );
-    let before = phpsafe_obs::snapshot();
-    {
-        let caches = EngineCaches::with_disk(Arc::clone(&disk2));
-        let mixed_warm = tool
-            .analyze_with_caches(&project, Some(&caches))
-            .to_json()
-            .unwrap();
-        assert_eq!(cold, mixed_warm, "mixed-version warm run diverged");
-    }
-    let delta = phpsafe_obs::snapshot().since(&before);
-    assert_eq!(
-        delta.counter("diskcache.borrowed_loads"),
-        1,
-        "exactly the ZAST entry borrows; the PAST entry keeps decoding"
-    );
     let dc2 = disk2.counters();
-    assert_eq!(dc2.corrupt, 0, "a PAST v1 entry must never read as corrupt");
-    assert_eq!(dc2.evicted, 0, "a PAST v1 entry must never read as stale");
+    assert!(dc2.evicted >= 1, "the pre-bump entry must miss as stale");
+    assert_eq!(
+        dc2.corrupt, 0,
+        "a pre-bump entry must never read as corrupt"
+    );
+    let before = phpsafe_obs::snapshot();
+    {
+        let caches = EngineCaches::with_disk(Arc::clone(&disk2));
+        let stale_warm = tool
+            .analyze_with_caches(&project, Some(&caches))
+            .to_json()
+            .unwrap();
+        assert_eq!(cold, stale_warm, "rewritten-entry warm run diverged");
+    }
+    let delta = phpsafe_obs::snapshot().since(&before);
+    assert_eq!(
+        delta.counter("diskcache.borrowed_loads"),
+        project.files().len() as u64,
+        "every file, the rewritten one included, must borrow as ZAST"
+    );
 
     // --- a truncated ZAST entry degrades to a re-parse, not a panic ---
     let dir3 = temp_dir("trunc");
@@ -209,23 +204,7 @@ fn outcomes_identical_across_load_paths_and_function_jobs() {
         "the truncated payload must be dropped and counted"
     );
 
-    // --- per-function jobs: same bytes at any worker count ---
-    assert_eq!(
-        tool.fingerprint(),
-        PhpSafe::new().with_function_jobs(8).fingerprint(),
-        "function_jobs is a scheduling knob and must not change the fingerprint"
-    );
-    for jobs in [2usize, 8] {
-        let caches = EngineCaches::new();
-        let fj = PhpSafe::new()
-            .with_function_jobs(jobs)
-            .analyze_with_caches(&project, Some(&caches))
-            .to_json()
-            .unwrap();
-        assert_eq!(cold, fj, "function_jobs={jobs} diverged from serial");
-    }
-
-    // --- --explain chains across load paths and schedules ---
+    // --- --explain chains across load paths ---
     let chains_cold = explain_chains(&tool, &project, None);
     assert!(
         chains_cold.contains("source $_GET"),
@@ -236,12 +215,6 @@ fn outcomes_identical_across_load_paths_and_function_jobs() {
     assert_eq!(
         chains_cold, chains_borrowed,
         "--explain chains diverged between cold parse and borrowed load"
-    );
-    let fj_tool = PhpSafe::new().with_function_jobs(8);
-    let chains_fj = explain_chains(&fj_tool, &project, Some(&EngineCaches::new()));
-    assert_eq!(
-        chains_cold, chains_fj,
-        "--explain chains diverged under per-function jobs"
     );
 
     // --- corpus artifacts across schedules and load paths ---

@@ -10,10 +10,10 @@
 //!   into a [`Snapshot`] that serializes to JSON (`--metrics-out`), to the
 //!   Prometheus text exposition format ([`Snapshot::to_prometheus`]), and
 //!   diffs against an earlier snapshot for per-run statistics;
-//! * [`span`] — lightweight RAII spans ([`span!`]) that record per-stage
+//! * [`mod@span`] — lightweight RAII spans ([`span!`]) that record per-stage
 //!   wall time into the registry and nest into a self-profile tree
 //!   (`--trace`);
-//! * [`events`] — a structured ring buffer of taint events (introduced /
+//! * [`mod@events`] — a structured ring buffer of taint events (introduced /
 //!   propagated / sanitized / reverted / sink-hit) that powers the
 //!   `--explain` provenance chains; overwrites surface as the
 //!   `events.dropped` counter;
@@ -166,7 +166,7 @@ pub fn drain_events() -> Vec<TaintEvent> {
     global_events().drain()
 }
 
-/// Renders the global span self-profile tree (see [`span`]).
+/// Renders the global span self-profile tree (see [`mod@span`]).
 pub fn span_tree_text() -> String {
     span::tree_text()
 }

@@ -47,7 +47,7 @@ pub fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
 }
 
 /// An NDJSON sink for wide events: lines accumulate in memory and the
-/// whole stream is rewritten to disk atomically every [`FLUSH_EVERY`]
+/// whole stream is rewritten to disk atomically every `FLUSH_EVERY` (64)
 /// appends and on [`TelemetrySink::flush`] (which the daemon calls at
 /// shutdown). A killed daemon therefore leaves the last complete flush,
 /// never a torn line.

@@ -1,44 +1,13 @@
-//! Binary (de)serialization of [`ParsedFile`]s for the persistent
-//! artifact cache.
+//! Little-endian byte primitives shared by the on-disk codecs: the
+//! [`Writer`] and bounds-checked [`Reader`] behind the taint-graph codec
+//! and `phpsafe`'s summary/depgraph codecs, plus the [`CodecError`] they
+//! and the ZAST validator ([`crate::zast`]) fail with.
 //!
-//! The flat-arena representation makes this nearly a memory dump: each
-//! pool is written as a length-prefixed run of fixed-shape elements, in
-//! pool order, so decoding rebuilds the exact buffers the parser produced
-//! — no parsing, no tree rebuilding, no per-node allocation beyond the
-//! pools themselves.
-//!
-//! [`Symbol`]s are process-local `u32`s and must never hit disk raw.
-//! Encoding builds a per-file string table (first-use order) and writes
-//! local indices; decoding re-interns each string once and maps local
-//! indices back to live symbols. A file's encoding is therefore stable
-//! across processes and interner states.
-//!
-//! Decoding is **corruption-tolerant by construction**: every read is
-//! bounds-checked, every enum tag validated, every node handle and slice
-//! range checked against the pool lengths read from the header — garbage
-//! input yields a [`CodecError`], never a panic and never an
-//! out-of-bounds handle. (The disk cache additionally guards payloads
-//! with a digest; this layer is the defense in depth behind it.)
-//!
-//! Round-trip guarantee: `decode_file(&encode_file(f)) == f` for every
-//! parser-produced file, including recovered [`ParseError`]s — a decoded
-//! file is indistinguishable from a freshly parsed one.
+//! A [`Reader`] never panics on untrusted input: every read is
+//! bounds-checked and a short or malformed buffer yields a
+//! [`CodecError`].
 
-use crate::ast::{
-    Arena, Arg, ArgRange, AssignOp, BinOp, Callee, CaseRange, CastKind, Catch, CatchRange,
-    ClassDecl, ClassKind, ClassMember, ConstRange, ElseifRange, Expr, ExprId, ExprRange,
-    FunctionDecl, IncludeKind, InterpPart, InterpRange, ItemRange, Lit, Member, MemberRange,
-    Modifiers, OptExprRange, Param, ParamRange, ParseError, ParsedFile, Span, StaticVarRange, Stmt,
-    StmtId, StmtRange, SwitchCase, SymRange, UnOp, UseRange, Visibility,
-};
-use phpsafe_intern::{FnvHashMap, Symbol};
 use std::fmt;
-
-/// Magic bytes opening an encoded file.
-const MAGIC: &[u8; 4] = b"PAST";
-
-/// Bumped on any change to the encoding below.
-const VERSION: u8 = 1;
 
 /// A decoding failure: what was malformed, and the byte offset it was
 /// detected at.
@@ -197,1700 +166,6 @@ impl<'a> Reader<'a> {
         match std::str::from_utf8(bytes) {
             Ok(s) => Ok(s.to_string()),
             Err(_) => self.fail("invalid UTF-8"),
-        }
-    }
-}
-
-// --------------------------------------------------------------- symbols
-
-/// Per-file symbol table: symbols are written as dense local indices in
-/// first-use order; the strings travel with the file.
-#[derive(Default)]
-struct SymWriter {
-    index: FnvHashMap<Symbol, u32>,
-    order: Vec<Symbol>,
-}
-
-impl SymWriter {
-    fn local(&mut self, sym: Symbol) -> u32 {
-        if let Some(&i) = self.index.get(&sym) {
-            return i;
-        }
-        let i = self.order.len() as u32;
-        self.index.insert(sym, i);
-        self.order.push(sym);
-        i
-    }
-}
-
-struct Enc {
-    w: Writer,
-    syms: SymWriter,
-}
-
-impl Enc {
-    fn sym(&mut self, s: Symbol) {
-        let local = self.syms.local(s);
-        self.w.u32(local);
-    }
-
-    fn span(&mut self, s: Span) {
-        self.w.u32(s.line);
-    }
-
-    fn expr_id(&mut self, id: ExprId) {
-        self.w.u32(id.raw());
-    }
-
-    fn stmt_id(&mut self, id: StmtId) {
-        self.w.u32(id.raw());
-    }
-
-    fn opt_expr_id(&mut self, id: Option<ExprId>) {
-        match id {
-            None => self.w.u8(0),
-            Some(id) => {
-                self.w.u8(1);
-                self.expr_id(id);
-            }
-        }
-    }
-
-    fn opt_sym(&mut self, s: Option<Symbol>) {
-        match s {
-            None => self.w.u8(0),
-            Some(s) => {
-                self.w.u8(1);
-                self.sym(s);
-            }
-        }
-    }
-
-    fn range(&mut self, (start, len): (u32, u32)) {
-        self.w.u32(start);
-        self.w.u32(len);
-    }
-}
-
-/// Decoder state: the reader, the re-interned symbol table and the pool
-/// lengths every handle is validated against.
-struct Dec<'a> {
-    r: Reader<'a>,
-    syms: Vec<Symbol>,
-    n_exprs: u32,
-    n_stmts: u32,
-}
-
-impl<'a> Dec<'a> {
-    fn sym(&mut self) -> Result<Symbol> {
-        let i = self.r.u32()? as usize;
-        match self.syms.get(i) {
-            Some(&s) => Ok(s),
-            None => self.r.fail("symbol index out of range"),
-        }
-    }
-
-    fn opt_sym(&mut self) -> Result<Option<Symbol>> {
-        match self.r.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.sym()?)),
-            _ => self.r.fail("invalid option tag"),
-        }
-    }
-
-    fn span(&mut self) -> Result<Span> {
-        Ok(Span::at(self.r.u32()?))
-    }
-
-    fn expr_id(&mut self) -> Result<ExprId> {
-        let raw = self.r.u32()?;
-        if raw >= self.n_exprs {
-            return self.r.fail("expression handle out of range");
-        }
-        Ok(ExprId::from_raw(raw))
-    }
-
-    fn stmt_id(&mut self) -> Result<StmtId> {
-        let raw = self.r.u32()?;
-        if raw >= self.n_stmts {
-            return self.r.fail("statement handle out of range");
-        }
-        Ok(StmtId::from_raw(raw))
-    }
-
-    fn opt_expr_id(&mut self) -> Result<Option<ExprId>> {
-        match self.r.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.expr_id()?)),
-            _ => self.r.fail("invalid option tag"),
-        }
-    }
-
-    /// Reads a `(start, len)` window and validates it against `pool_len`.
-    fn range(&mut self, pool_len: usize) -> Result<(u32, u32)> {
-        let start = self.r.u32()?;
-        let len = self.r.u32()?;
-        let end = match start.checked_add(len) {
-            Some(e) => e as usize,
-            None => return self.r.fail("range overflow"),
-        };
-        if end > pool_len {
-            return self.r.fail("range out of pool bounds");
-        }
-        Ok((start, len))
-    }
-}
-
-// ------------------------------------------------------------- small enums
-
-fn enc_binop(op: BinOp) -> u8 {
-    use BinOp::*;
-    match op {
-        Add => 0,
-        Sub => 1,
-        Mul => 2,
-        Div => 3,
-        Mod => 4,
-        Pow => 5,
-        Concat => 6,
-        Eq => 7,
-        NotEq => 8,
-        Identical => 9,
-        NotIdentical => 10,
-        Lt => 11,
-        Gt => 12,
-        Le => 13,
-        Ge => 14,
-        And => 15,
-        Or => 16,
-        Xor => 17,
-        BitAnd => 18,
-        BitOr => 19,
-        BitXor => 20,
-        Shl => 21,
-        Shr => 22,
-    }
-}
-
-fn dec_binop(tag: u8, r: &Reader) -> Result<BinOp> {
-    use BinOp::*;
-    Ok(match tag {
-        0 => Add,
-        1 => Sub,
-        2 => Mul,
-        3 => Div,
-        4 => Mod,
-        5 => Pow,
-        6 => Concat,
-        7 => Eq,
-        8 => NotEq,
-        9 => Identical,
-        10 => NotIdentical,
-        11 => Lt,
-        12 => Gt,
-        13 => Le,
-        14 => Ge,
-        15 => And,
-        16 => Or,
-        17 => Xor,
-        18 => BitAnd,
-        19 => BitOr,
-        20 => BitXor,
-        21 => Shl,
-        22 => Shr,
-        _ => return r.fail("invalid binary operator"),
-    })
-}
-
-fn enc_unop(op: UnOp) -> u8 {
-    match op {
-        UnOp::Not => 0,
-        UnOp::Neg => 1,
-        UnOp::Plus => 2,
-        UnOp::BitNot => 3,
-    }
-}
-
-fn dec_unop(tag: u8, r: &Reader) -> Result<UnOp> {
-    Ok(match tag {
-        0 => UnOp::Not,
-        1 => UnOp::Neg,
-        2 => UnOp::Plus,
-        3 => UnOp::BitNot,
-        _ => return r.fail("invalid unary operator"),
-    })
-}
-
-fn enc_assign_op(op: AssignOp) -> u8 {
-    use AssignOp::*;
-    match op {
-        Assign => 0,
-        AddAssign => 1,
-        SubAssign => 2,
-        MulAssign => 3,
-        DivAssign => 4,
-        ModAssign => 5,
-        ConcatAssign => 6,
-        BitAndAssign => 7,
-        BitOrAssign => 8,
-        BitXorAssign => 9,
-        ShlAssign => 10,
-        ShrAssign => 11,
-    }
-}
-
-fn dec_assign_op(tag: u8, r: &Reader) -> Result<AssignOp> {
-    use AssignOp::*;
-    Ok(match tag {
-        0 => Assign,
-        1 => AddAssign,
-        2 => SubAssign,
-        3 => MulAssign,
-        4 => DivAssign,
-        5 => ModAssign,
-        6 => ConcatAssign,
-        7 => BitAndAssign,
-        8 => BitOrAssign,
-        9 => BitXorAssign,
-        10 => ShlAssign,
-        11 => ShrAssign,
-        _ => return r.fail("invalid assignment operator"),
-    })
-}
-
-fn enc_cast(k: CastKind) -> u8 {
-    use CastKind::*;
-    match k {
-        Int => 0,
-        Float => 1,
-        String => 2,
-        Array => 3,
-        Object => 4,
-        Bool => 5,
-        Unset => 6,
-    }
-}
-
-fn dec_cast(tag: u8, r: &Reader) -> Result<CastKind> {
-    use CastKind::*;
-    Ok(match tag {
-        0 => Int,
-        1 => Float,
-        2 => String,
-        3 => Array,
-        4 => Object,
-        5 => Bool,
-        6 => Unset,
-        _ => return r.fail("invalid cast kind"),
-    })
-}
-
-fn enc_include(k: IncludeKind) -> u8 {
-    use IncludeKind::*;
-    match k {
-        Include => 0,
-        IncludeOnce => 1,
-        Require => 2,
-        RequireOnce => 3,
-    }
-}
-
-fn dec_include(tag: u8, r: &Reader) -> Result<IncludeKind> {
-    use IncludeKind::*;
-    Ok(match tag {
-        0 => Include,
-        1 => IncludeOnce,
-        2 => Require,
-        3 => RequireOnce,
-        _ => return r.fail("invalid include kind"),
-    })
-}
-
-fn enc_class_kind(k: ClassKind) -> u8 {
-    match k {
-        ClassKind::Class => 0,
-        ClassKind::Interface => 1,
-        ClassKind::Trait => 2,
-    }
-}
-
-fn dec_class_kind(tag: u8, r: &Reader) -> Result<ClassKind> {
-    Ok(match tag {
-        0 => ClassKind::Class,
-        1 => ClassKind::Interface,
-        2 => ClassKind::Trait,
-        _ => return r.fail("invalid class kind"),
-    })
-}
-
-/// Modifiers pack into one byte: visibility in the low two bits, then the
-/// static/abstract/final flags.
-fn enc_modifiers(m: Modifiers) -> u8 {
-    let vis = match m.visibility {
-        Visibility::Public => 0u8,
-        Visibility::Protected => 1,
-        Visibility::Private => 2,
-    };
-    vis | (m.is_static as u8) << 2 | (m.is_abstract as u8) << 3 | (m.is_final as u8) << 4
-}
-
-fn dec_modifiers(b: u8, r: &Reader) -> Result<Modifiers> {
-    let visibility = match b & 0b11 {
-        0 => Visibility::Public,
-        1 => Visibility::Protected,
-        2 => Visibility::Private,
-        _ => return r.fail("invalid visibility"),
-    };
-    if b >> 5 != 0 {
-        return r.fail("invalid modifier bits");
-    }
-    Ok(Modifiers {
-        visibility,
-        is_static: b & 0b100 != 0,
-        is_abstract: b & 0b1000 != 0,
-        is_final: b & 0b1_0000 != 0,
-    })
-}
-
-// ---------------------------------------------------------------- literals
-
-fn enc_lit(e: &mut Enc, lit: &Lit) {
-    match lit {
-        Lit::Int(s) => {
-            e.w.u8(0);
-            e.w.str(s.as_str());
-        }
-        Lit::Float(s) => {
-            e.w.u8(1);
-            e.w.str(s.as_str());
-        }
-        Lit::Str(s) => {
-            e.w.u8(2);
-            e.w.str(s.as_str());
-        }
-        Lit::Bool(b) => {
-            e.w.u8(3);
-            e.w.bool(*b);
-        }
-        Lit::Null => e.w.u8(4),
-    }
-}
-
-fn dec_lit(d: &mut Dec) -> Result<Lit> {
-    Ok(match d.r.u8()? {
-        0 => Lit::Int(d.r.str()?.into()),
-        1 => Lit::Float(d.r.str()?.into()),
-        2 => Lit::Str(d.r.str()?.into()),
-        3 => Lit::Bool(d.r.bool()?),
-        4 => Lit::Null,
-        _ => return d.r.fail("invalid literal tag"),
-    })
-}
-
-fn enc_member(e: &mut Enc, m: &Member) {
-    match m {
-        Member::Name(s) => {
-            e.w.u8(0);
-            e.sym(*s);
-        }
-        Member::Dynamic(id) => {
-            e.w.u8(1);
-            e.expr_id(*id);
-        }
-    }
-}
-
-fn dec_member(d: &mut Dec) -> Result<Member> {
-    Ok(match d.r.u8()? {
-        0 => Member::Name(d.sym()?),
-        1 => Member::Dynamic(d.expr_id()?),
-        _ => return d.r.fail("invalid member tag"),
-    })
-}
-
-fn enc_callee(e: &mut Enc, c: &Callee) {
-    match c {
-        Callee::Function(s) => {
-            e.w.u8(0);
-            e.sym(*s);
-        }
-        Callee::Dynamic(id) => {
-            e.w.u8(1);
-            e.expr_id(*id);
-        }
-        Callee::Method { base, name } => {
-            e.w.u8(2);
-            e.expr_id(*base);
-            enc_member(e, name);
-        }
-        Callee::StaticMethod { class, name } => {
-            e.w.u8(3);
-            e.sym(*class);
-            enc_member(e, name);
-        }
-    }
-}
-
-fn dec_callee(d: &mut Dec) -> Result<Callee> {
-    Ok(match d.r.u8()? {
-        0 => Callee::Function(d.sym()?),
-        1 => Callee::Dynamic(d.expr_id()?),
-        2 => Callee::Method {
-            base: d.expr_id()?,
-            name: dec_member(d)?,
-        },
-        3 => Callee::StaticMethod {
-            class: d.sym()?,
-            name: dec_member(d)?,
-        },
-        _ => return d.r.fail("invalid callee tag"),
-    })
-}
-
-// ------------------------------------------------------------- expressions
-
-fn enc_expr(e: &mut Enc, expr: &Expr) {
-    use Expr::*;
-    match expr {
-        Var(s, sp) => {
-            e.w.u8(0);
-            e.sym(*s);
-            e.span(*sp);
-        }
-        VarVar(id, sp) => {
-            e.w.u8(1);
-            e.expr_id(*id);
-            e.span(*sp);
-        }
-        Lit(lit, sp) => {
-            e.w.u8(2);
-            enc_lit(e, lit);
-            e.span(*sp);
-        }
-        Interp(r, sp) => {
-            e.w.u8(3);
-            e.range(r.raw_parts());
-            e.span(*sp);
-        }
-        ConstFetch(s, sp) => {
-            e.w.u8(4);
-            e.sym(*s);
-            e.span(*sp);
-        }
-        ClassConst(c, n, sp) => {
-            e.w.u8(5);
-            e.sym(*c);
-            e.sym(*n);
-            e.span(*sp);
-        }
-        ArrayLit(r, sp) => {
-            e.w.u8(6);
-            e.range(r.raw_parts());
-            e.span(*sp);
-        }
-        Index(base, idx, sp) => {
-            e.w.u8(7);
-            e.expr_id(*base);
-            e.opt_expr_id(*idx);
-            e.span(*sp);
-        }
-        Prop(base, m, sp) => {
-            e.w.u8(8);
-            e.expr_id(*base);
-            enc_member(e, m);
-            e.span(*sp);
-        }
-        StaticProp(c, p, sp) => {
-            e.w.u8(9);
-            e.sym(*c);
-            e.sym(*p);
-            e.span(*sp);
-        }
-        Assign {
-            target,
-            op,
-            value,
-            by_ref,
-            span,
-        } => {
-            e.w.u8(10);
-            e.expr_id(*target);
-            e.w.u8(enc_assign_op(*op));
-            e.expr_id(*value);
-            e.w.bool(*by_ref);
-            e.span(*span);
-        }
-        Binary { op, lhs, rhs, span } => {
-            e.w.u8(11);
-            e.w.u8(enc_binop(*op));
-            e.expr_id(*lhs);
-            e.expr_id(*rhs);
-            e.span(*span);
-        }
-        Unary { op, expr, span } => {
-            e.w.u8(12);
-            e.w.u8(enc_unop(*op));
-            e.expr_id(*expr);
-            e.span(*span);
-        }
-        IncDec {
-            prefix,
-            increment,
-            expr,
-            span,
-        } => {
-            e.w.u8(13);
-            e.w.bool(*prefix);
-            e.w.bool(*increment);
-            e.expr_id(*expr);
-            e.span(*span);
-        }
-        Call { callee, args, span } => {
-            e.w.u8(14);
-            enc_callee(e, callee);
-            e.range(args.raw_parts());
-            e.span(*span);
-        }
-        New { class, args, span } => {
-            e.w.u8(15);
-            enc_member(e, class);
-            e.range(args.raw_parts());
-            e.span(*span);
-        }
-        Clone(id, sp) => {
-            e.w.u8(16);
-            e.expr_id(*id);
-            e.span(*sp);
-        }
-        Ternary {
-            cond,
-            then,
-            otherwise,
-            span,
-        } => {
-            e.w.u8(17);
-            e.expr_id(*cond);
-            e.opt_expr_id(*then);
-            e.expr_id(*otherwise);
-            e.span(*span);
-        }
-        Cast(k, id, sp) => {
-            e.w.u8(18);
-            e.w.u8(enc_cast(*k));
-            e.expr_id(*id);
-            e.span(*sp);
-        }
-        Isset(r, sp) => {
-            e.w.u8(19);
-            e.range(r.raw_parts());
-            e.span(*sp);
-        }
-        Empty(id, sp) => {
-            e.w.u8(20);
-            e.expr_id(*id);
-            e.span(*sp);
-        }
-        ErrorSuppress(id, sp) => {
-            e.w.u8(21);
-            e.expr_id(*id);
-            e.span(*sp);
-        }
-        Print(id, sp) => {
-            e.w.u8(22);
-            e.expr_id(*id);
-            e.span(*sp);
-        }
-        Exit(id, sp) => {
-            e.w.u8(23);
-            e.opt_expr_id(*id);
-            e.span(*sp);
-        }
-        Include(k, id, sp) => {
-            e.w.u8(24);
-            e.w.u8(enc_include(*k));
-            e.expr_id(*id);
-            e.span(*sp);
-        }
-        Instanceof(id, s, sp) => {
-            e.w.u8(25);
-            e.expr_id(*id);
-            e.sym(*s);
-            e.span(*sp);
-        }
-        ListIntrinsic(r, sp) => {
-            e.w.u8(26);
-            e.range(r.raw_parts());
-            e.span(*sp);
-        }
-        Closure {
-            params,
-            uses,
-            body,
-            span,
-        } => {
-            e.w.u8(27);
-            e.range(params.raw_parts());
-            e.range(uses.raw_parts());
-            e.range(body.raw_parts());
-            e.span(*span);
-        }
-        ShellExec(r, sp) => {
-            e.w.u8(28);
-            e.range(r.raw_parts());
-            e.span(*sp);
-        }
-        Ref(id, sp) => {
-            e.w.u8(29);
-            e.expr_id(*id);
-            e.span(*sp);
-        }
-        Error(sp) => {
-            e.w.u8(30);
-            e.span(*sp);
-        }
-    }
-}
-
-fn dec_expr(d: &mut Dec, pools: &PoolSizes) -> Result<Expr> {
-    use Expr::*;
-    Ok(match d.r.u8()? {
-        0 => Var(d.sym()?, d.span()?),
-        1 => VarVar(d.expr_id()?, d.span()?),
-        2 => Lit(dec_lit(d)?, d.span()?),
-        3 => {
-            let (s, l) = d.range(pools.interp_parts)?;
-            Interp(InterpRange::from_raw_parts(s, l), d.span()?)
-        }
-        4 => ConstFetch(d.sym()?, d.span()?),
-        5 => ClassConst(d.sym()?, d.sym()?, d.span()?),
-        6 => {
-            let (s, l) = d.range(pools.array_items)?;
-            ArrayLit(ItemRange::from_raw_parts(s, l), d.span()?)
-        }
-        7 => Index(d.expr_id()?, d.opt_expr_id()?, d.span()?),
-        8 => Prop(d.expr_id()?, dec_member(d)?, d.span()?),
-        9 => StaticProp(d.sym()?, d.sym()?, d.span()?),
-        10 => {
-            let target = d.expr_id()?;
-            let op = dec_assign_op(d.r.u8()?, &d.r)?;
-            let value = d.expr_id()?;
-            let by_ref = d.r.bool()?;
-            Assign {
-                target,
-                op,
-                value,
-                by_ref,
-                span: d.span()?,
-            }
-        }
-        11 => {
-            let op = dec_binop(d.r.u8()?, &d.r)?;
-            Binary {
-                op,
-                lhs: d.expr_id()?,
-                rhs: d.expr_id()?,
-                span: d.span()?,
-            }
-        }
-        12 => {
-            let op = dec_unop(d.r.u8()?, &d.r)?;
-            Unary {
-                op,
-                expr: d.expr_id()?,
-                span: d.span()?,
-            }
-        }
-        13 => IncDec {
-            prefix: d.r.bool()?,
-            increment: d.r.bool()?,
-            expr: d.expr_id()?,
-            span: d.span()?,
-        },
-        14 => {
-            let callee = dec_callee(d)?;
-            let (s, l) = d.range(pools.args)?;
-            Call {
-                callee,
-                args: ArgRange::from_raw_parts(s, l),
-                span: d.span()?,
-            }
-        }
-        15 => {
-            let class = dec_member(d)?;
-            let (s, l) = d.range(pools.args)?;
-            New {
-                class,
-                args: ArgRange::from_raw_parts(s, l),
-                span: d.span()?,
-            }
-        }
-        16 => Clone(d.expr_id()?, d.span()?),
-        17 => Ternary {
-            cond: d.expr_id()?,
-            then: d.opt_expr_id()?,
-            otherwise: d.expr_id()?,
-            span: d.span()?,
-        },
-        18 => {
-            let k = dec_cast(d.r.u8()?, &d.r)?;
-            Cast(k, d.expr_id()?, d.span()?)
-        }
-        19 => {
-            let (s, l) = d.range(pools.expr_ids)?;
-            Isset(ExprRange::from_raw_parts(s, l), d.span()?)
-        }
-        20 => Empty(d.expr_id()?, d.span()?),
-        21 => ErrorSuppress(d.expr_id()?, d.span()?),
-        22 => Print(d.expr_id()?, d.span()?),
-        23 => Exit(d.opt_expr_id()?, d.span()?),
-        24 => {
-            let k = dec_include(d.r.u8()?, &d.r)?;
-            Include(k, d.expr_id()?, d.span()?)
-        }
-        25 => Instanceof(d.expr_id()?, d.sym()?, d.span()?),
-        26 => {
-            let (s, l) = d.range(pools.opt_exprs)?;
-            ListIntrinsic(OptExprRange::from_raw_parts(s, l), d.span()?)
-        }
-        27 => {
-            let (ps, pl) = d.range(pools.params)?;
-            let (us, ul) = d.range(pools.closure_uses)?;
-            let (bs, bl) = d.range(pools.stmt_ids)?;
-            Closure {
-                params: ParamRange::from_raw_parts(ps, pl),
-                uses: UseRange::from_raw_parts(us, ul),
-                body: StmtRange::from_raw_parts(bs, bl),
-                span: d.span()?,
-            }
-        }
-        28 => {
-            let (s, l) = d.range(pools.interp_parts)?;
-            ShellExec(InterpRange::from_raw_parts(s, l), d.span()?)
-        }
-        29 => Ref(d.expr_id()?, d.span()?),
-        30 => Error(d.span()?),
-        _ => return d.r.fail("invalid expression tag"),
-    })
-}
-
-// -------------------------------------------------------------- statements
-
-fn enc_function(e: &mut Enc, f: &FunctionDecl) {
-    e.sym(f.name);
-    e.range(f.params.raw_parts());
-    e.w.bool(f.by_ref);
-    e.range(f.body.raw_parts());
-    e.span(f.span);
-}
-
-fn dec_function(d: &mut Dec, pools: &PoolSizes) -> Result<FunctionDecl> {
-    let name = d.sym()?;
-    let (ps, pl) = d.range(pools.params)?;
-    let by_ref = d.r.bool()?;
-    let (bs, bl) = d.range(pools.stmt_ids)?;
-    Ok(FunctionDecl {
-        name,
-        params: ParamRange::from_raw_parts(ps, pl),
-        by_ref,
-        body: StmtRange::from_raw_parts(bs, bl),
-        span: d.span()?,
-    })
-}
-
-fn enc_class(e: &mut Enc, c: &ClassDecl) {
-    e.sym(c.name);
-    e.w.u8(enc_class_kind(c.kind));
-    e.opt_sym(c.parent);
-    e.range(c.interfaces.raw_parts());
-    e.w.bool(c.is_abstract);
-    e.w.bool(c.is_final);
-    e.range(c.members.raw_parts());
-    e.span(c.span);
-}
-
-fn dec_class(d: &mut Dec, pools: &PoolSizes) -> Result<ClassDecl> {
-    let name = d.sym()?;
-    let kind = dec_class_kind(d.r.u8()?, &d.r)?;
-    let parent = d.opt_sym()?;
-    let (is_, il) = d.range(pools.syms)?;
-    let is_abstract = d.r.bool()?;
-    let is_final = d.r.bool()?;
-    let (ms, ml) = d.range(pools.members)?;
-    Ok(ClassDecl {
-        name,
-        kind,
-        parent,
-        interfaces: SymRange::from_raw_parts(is_, il),
-        is_abstract,
-        is_final,
-        members: MemberRange::from_raw_parts(ms, ml),
-        span: d.span()?,
-    })
-}
-
-fn enc_stmt(e: &mut Enc, stmt: &Stmt) {
-    use Stmt::*;
-    match stmt {
-        Expr(id, sp) => {
-            e.w.u8(0);
-            e.expr_id(*id);
-            e.span(*sp);
-        }
-        Echo(r, sp) => {
-            e.w.u8(1);
-            e.range(r.raw_parts());
-            e.span(*sp);
-        }
-        InlineHtml(html, sp) => {
-            e.w.u8(2);
-            e.w.str(html.as_str());
-            e.span(*sp);
-        }
-        If {
-            cond,
-            then,
-            elseifs,
-            otherwise,
-            span,
-        } => {
-            e.w.u8(3);
-            e.expr_id(*cond);
-            e.range(then.raw_parts());
-            e.range(elseifs.raw_parts());
-            match otherwise {
-                None => e.w.u8(0),
-                Some(r) => {
-                    e.w.u8(1);
-                    e.range(r.raw_parts());
-                }
-            }
-            e.span(*span);
-        }
-        While { cond, body, span } => {
-            e.w.u8(4);
-            e.expr_id(*cond);
-            e.range(body.raw_parts());
-            e.span(*span);
-        }
-        DoWhile { body, cond, span } => {
-            e.w.u8(5);
-            e.range(body.raw_parts());
-            e.expr_id(*cond);
-            e.span(*span);
-        }
-        For {
-            init,
-            cond,
-            step,
-            body,
-            span,
-        } => {
-            e.w.u8(6);
-            e.range(init.raw_parts());
-            e.range(cond.raw_parts());
-            e.range(step.raw_parts());
-            e.range(body.raw_parts());
-            e.span(*span);
-        }
-        Foreach {
-            subject,
-            key,
-            value,
-            by_ref,
-            body,
-            span,
-        } => {
-            e.w.u8(7);
-            e.expr_id(*subject);
-            e.opt_expr_id(*key);
-            e.expr_id(*value);
-            e.w.bool(*by_ref);
-            e.range(body.raw_parts());
-            e.span(*span);
-        }
-        Switch {
-            subject,
-            cases,
-            span,
-        } => {
-            e.w.u8(8);
-            e.expr_id(*subject);
-            e.range(cases.raw_parts());
-            e.span(*span);
-        }
-        Break(sp) => {
-            e.w.u8(9);
-            e.span(*sp);
-        }
-        Continue(sp) => {
-            e.w.u8(10);
-            e.span(*sp);
-        }
-        Return(id, sp) => {
-            e.w.u8(11);
-            e.opt_expr_id(*id);
-            e.span(*sp);
-        }
-        Global(r, sp) => {
-            e.w.u8(12);
-            e.range(r.raw_parts());
-            e.span(*sp);
-        }
-        StaticVars(r, sp) => {
-            e.w.u8(13);
-            e.range(r.raw_parts());
-            e.span(*sp);
-        }
-        Unset(r, sp) => {
-            e.w.u8(14);
-            e.range(r.raw_parts());
-            e.span(*sp);
-        }
-        Throw(id, sp) => {
-            e.w.u8(15);
-            e.expr_id(*id);
-            e.span(*sp);
-        }
-        Try {
-            body,
-            catches,
-            finally,
-            span,
-        } => {
-            e.w.u8(16);
-            e.range(body.raw_parts());
-            e.range(catches.raw_parts());
-            match finally {
-                None => e.w.u8(0),
-                Some(r) => {
-                    e.w.u8(1);
-                    e.range(r.raw_parts());
-                }
-            }
-            e.span(*span);
-        }
-        Block(r, sp) => {
-            e.w.u8(17);
-            e.range(r.raw_parts());
-            e.span(*sp);
-        }
-        Function(f) => {
-            e.w.u8(18);
-            enc_function(e, f);
-        }
-        Class(c) => {
-            e.w.u8(19);
-            enc_class(e, c);
-        }
-        ConstDecl(r, sp) => {
-            e.w.u8(20);
-            e.range(r.raw_parts());
-            e.span(*sp);
-        }
-        Nop(sp) => {
-            e.w.u8(21);
-            e.span(*sp);
-        }
-        Error(sp) => {
-            e.w.u8(22);
-            e.span(*sp);
-        }
-    }
-}
-
-fn dec_stmt(d: &mut Dec, pools: &PoolSizes) -> Result<Stmt> {
-    use Stmt::*;
-    Ok(match d.r.u8()? {
-        0 => Expr(d.expr_id()?, d.span()?),
-        1 => {
-            let (s, l) = d.range(pools.expr_ids)?;
-            Echo(ExprRange::from_raw_parts(s, l), d.span()?)
-        }
-        2 => InlineHtml(d.r.str()?.into(), d.span()?),
-        3 => {
-            let cond = d.expr_id()?;
-            let (ts, tl) = d.range(pools.stmt_ids)?;
-            let (es, el) = d.range(pools.elseifs)?;
-            let otherwise = match d.r.u8()? {
-                0 => None,
-                1 => {
-                    let (os, ol) = d.range(pools.stmt_ids)?;
-                    Some(StmtRange::from_raw_parts(os, ol))
-                }
-                _ => return d.r.fail("invalid option tag"),
-            };
-            If {
-                cond,
-                then: StmtRange::from_raw_parts(ts, tl),
-                elseifs: ElseifRange::from_raw_parts(es, el),
-                otherwise,
-                span: d.span()?,
-            }
-        }
-        4 => {
-            let cond = d.expr_id()?;
-            let (s, l) = d.range(pools.stmt_ids)?;
-            While {
-                cond,
-                body: StmtRange::from_raw_parts(s, l),
-                span: d.span()?,
-            }
-        }
-        5 => {
-            let (s, l) = d.range(pools.stmt_ids)?;
-            DoWhile {
-                body: StmtRange::from_raw_parts(s, l),
-                cond: d.expr_id()?,
-                span: d.span()?,
-            }
-        }
-        6 => {
-            let (is_, il) = d.range(pools.expr_ids)?;
-            let (cs, cl) = d.range(pools.expr_ids)?;
-            let (ss, sl) = d.range(pools.expr_ids)?;
-            let (bs, bl) = d.range(pools.stmt_ids)?;
-            For {
-                init: ExprRange::from_raw_parts(is_, il),
-                cond: ExprRange::from_raw_parts(cs, cl),
-                step: ExprRange::from_raw_parts(ss, sl),
-                body: StmtRange::from_raw_parts(bs, bl),
-                span: d.span()?,
-            }
-        }
-        7 => {
-            let subject = d.expr_id()?;
-            let key = d.opt_expr_id()?;
-            let value = d.expr_id()?;
-            let by_ref = d.r.bool()?;
-            let (bs, bl) = d.range(pools.stmt_ids)?;
-            Foreach {
-                subject,
-                key,
-                value,
-                by_ref,
-                body: StmtRange::from_raw_parts(bs, bl),
-                span: d.span()?,
-            }
-        }
-        8 => {
-            let subject = d.expr_id()?;
-            let (cs, cl) = d.range(pools.cases)?;
-            Switch {
-                subject,
-                cases: CaseRange::from_raw_parts(cs, cl),
-                span: d.span()?,
-            }
-        }
-        9 => Break(d.span()?),
-        10 => Continue(d.span()?),
-        11 => Return(d.opt_expr_id()?, d.span()?),
-        12 => {
-            let (s, l) = d.range(pools.syms)?;
-            Global(SymRange::from_raw_parts(s, l), d.span()?)
-        }
-        13 => {
-            let (s, l) = d.range(pools.static_vars)?;
-            StaticVars(StaticVarRange::from_raw_parts(s, l), d.span()?)
-        }
-        14 => {
-            let (s, l) = d.range(pools.expr_ids)?;
-            Unset(ExprRange::from_raw_parts(s, l), d.span()?)
-        }
-        15 => Throw(d.expr_id()?, d.span()?),
-        16 => {
-            let (bs, bl) = d.range(pools.stmt_ids)?;
-            let (cs, cl) = d.range(pools.catches)?;
-            let finally = match d.r.u8()? {
-                0 => None,
-                1 => {
-                    let (fs, fl) = d.range(pools.stmt_ids)?;
-                    Some(StmtRange::from_raw_parts(fs, fl))
-                }
-                _ => return d.r.fail("invalid option tag"),
-            };
-            Try {
-                body: StmtRange::from_raw_parts(bs, bl),
-                catches: CatchRange::from_raw_parts(cs, cl),
-                finally,
-                span: d.span()?,
-            }
-        }
-        17 => {
-            let (s, l) = d.range(pools.stmt_ids)?;
-            Block(StmtRange::from_raw_parts(s, l), d.span()?)
-        }
-        18 => Function(dec_function(d, pools)?),
-        19 => Class(dec_class(d, pools)?),
-        20 => {
-            let (s, l) = d.range(pools.consts)?;
-            ConstDecl(ConstRange::from_raw_parts(s, l), d.span()?)
-        }
-        21 => Nop(d.span()?),
-        22 => Error(d.span()?),
-        _ => return d.r.fail("invalid statement tag"),
-    })
-}
-
-// ------------------------------------------------------------- pool sizes
-
-/// Pool lengths read from the header; every handle and range in the body
-/// is validated against these before any `Vec` index can be built.
-struct PoolSizes {
-    exprs: usize,
-    stmts: usize,
-    expr_ids: usize,
-    stmt_ids: usize,
-    args: usize,
-    params: usize,
-    interp_parts: usize,
-    array_items: usize,
-    opt_exprs: usize,
-    elseifs: usize,
-    cases: usize,
-    catches: usize,
-    syms: usize,
-    static_vars: usize,
-    closure_uses: usize,
-    consts: usize,
-    members: usize,
-}
-
-// ------------------------------------------------------------ entry points
-
-/// Encodes a parsed file to the versioned binary cache format.
-pub fn encode_file(file: &ParsedFile) -> Vec<u8> {
-    let a = &file.arena;
-    let mut e = Enc {
-        w: Writer::new(),
-        syms: SymWriter::default(),
-    };
-
-    // Pool lengths up front, so the decoder can validate handles.
-    for len in [
-        a.exprs.len(),
-        a.stmts.len(),
-        a.expr_ids.len(),
-        a.stmt_ids.len(),
-        a.args.len(),
-        a.params.len(),
-        a.interp_parts.len(),
-        a.array_items.len(),
-        a.opt_exprs.len(),
-        a.elseifs.len(),
-        a.cases.len(),
-        a.catches.len(),
-        a.syms.len(),
-        a.static_vars.len(),
-        a.closure_uses.len(),
-        a.consts.len(),
-        a.members.len(),
-    ] {
-        e.w.u32(len as u32);
-    }
-    e.w.u32(a.slices);
-
-    for expr in &a.exprs {
-        enc_expr(&mut e, expr);
-    }
-    for stmt in &a.stmts {
-        enc_stmt(&mut e, stmt);
-    }
-    for id in &a.expr_ids {
-        e.expr_id(*id);
-    }
-    for id in &a.stmt_ids {
-        e.stmt_id(*id);
-    }
-    for arg in &a.args {
-        e.expr_id(arg.value);
-        e.w.bool(arg.by_ref);
-    }
-    for p in &a.params {
-        e.sym(p.name);
-        e.w.bool(p.by_ref);
-        e.opt_expr_id(p.default);
-        e.opt_sym(p.type_hint);
-        e.w.bool(p.variadic);
-    }
-    for part in &a.interp_parts {
-        match part {
-            InterpPart::Lit(s) => {
-                e.w.u8(0);
-                e.w.str(s.as_str());
-            }
-            InterpPart::Expr(id) => {
-                e.w.u8(1);
-                e.expr_id(*id);
-            }
-        }
-    }
-    for (key, value) in &a.array_items {
-        e.opt_expr_id(*key);
-        e.expr_id(*value);
-    }
-    for opt in &a.opt_exprs {
-        e.opt_expr_id(*opt);
-    }
-    for (cond, body) in &a.elseifs {
-        e.expr_id(*cond);
-        e.range(body.raw_parts());
-    }
-    for case in &a.cases {
-        e.opt_expr_id(case.value);
-        e.range(case.body.raw_parts());
-    }
-    for c in &a.catches {
-        e.sym(c.class);
-        e.sym(c.var);
-        e.range(c.body.raw_parts());
-    }
-    for s in &a.syms {
-        e.sym(*s);
-    }
-    for (name, init) in &a.static_vars {
-        e.sym(*name);
-        e.opt_expr_id(*init);
-    }
-    for (name, by_ref) in &a.closure_uses {
-        e.sym(*name);
-        e.w.bool(*by_ref);
-    }
-    for (name, value) in &a.consts {
-        e.sym(*name);
-        e.expr_id(*value);
-    }
-    for m in &a.members {
-        match m {
-            ClassMember::Property {
-                name,
-                default,
-                modifiers,
-                span,
-            } => {
-                e.w.u8(0);
-                e.sym(*name);
-                e.opt_expr_id(*default);
-                e.w.u8(enc_modifiers(*modifiers));
-                e.span(*span);
-            }
-            ClassMember::Method(mods, f) => {
-                e.w.u8(1);
-                e.w.u8(enc_modifiers(*mods));
-                enc_function(&mut e, f);
-            }
-            ClassMember::Const { name, value, span } => {
-                e.w.u8(2);
-                e.sym(*name);
-                e.expr_id(*value);
-                e.span(*span);
-            }
-            ClassMember::UseTrait(r, sp) => {
-                e.w.u8(3);
-                e.range(r.raw_parts());
-                e.span(*sp);
-            }
-        }
-    }
-
-    e.range(file.top.raw_parts());
-    e.w.u32(file.errors.len() as u32);
-    for err in &file.errors {
-        e.w.str(&err.message);
-        e.w.u32(err.span.line);
-    }
-
-    // Final layout: magic + version, the string table (built while the
-    // body was encoded), then the body.
-    let Enc { w, syms } = e;
-    let body = w.into_bytes();
-    let mut out = Writer::new();
-    out.raw(MAGIC);
-    out.u8(VERSION);
-    out.u32(syms.order.len() as u32);
-    for sym in &syms.order {
-        out.str(sym.as_str());
-    }
-    out.raw(&body);
-    out.into_bytes()
-}
-
-/// Decodes a file previously produced by [`encode_file`]. Fails with a
-/// [`CodecError`] on any malformed input.
-pub fn decode_file(bytes: &[u8]) -> Result<ParsedFile> {
-    let mut r = Reader::new(bytes);
-    if r.take(4)? != MAGIC {
-        return Err(CodecError {
-            what: "bad AST magic",
-            at: 0,
-        });
-    }
-    if r.u8()? != VERSION {
-        return Err(CodecError {
-            what: "unsupported AST codec version",
-            at: 4,
-        });
-    }
-    let n_syms = r.u32()? as usize;
-    // A symbol table longer than the remaining bytes is garbage; this
-    // bound stops a hostile header from pre-allocating gigabytes.
-    if n_syms > bytes.len() {
-        return Err(CodecError {
-            what: "symbol table length exceeds input",
-            at: r.offset(),
-        });
-    }
-    let mut syms = Vec::with_capacity(n_syms);
-    for _ in 0..n_syms {
-        syms.push(Symbol::intern(&r.str()?));
-    }
-
-    let mut counts = [0usize; 17];
-    for c in &mut counts {
-        *c = r.u32()? as usize;
-        if *c > bytes.len() {
-            return Err(CodecError {
-                what: "pool length exceeds input",
-                at: r.offset(),
-            });
-        }
-    }
-    let pools = PoolSizes {
-        exprs: counts[0],
-        stmts: counts[1],
-        expr_ids: counts[2],
-        stmt_ids: counts[3],
-        args: counts[4],
-        params: counts[5],
-        interp_parts: counts[6],
-        array_items: counts[7],
-        opt_exprs: counts[8],
-        elseifs: counts[9],
-        cases: counts[10],
-        catches: counts[11],
-        syms: counts[12],
-        static_vars: counts[13],
-        closure_uses: counts[14],
-        consts: counts[15],
-        members: counts[16],
-    };
-    let slices = r.u32()?;
-
-    let mut d = Dec {
-        r,
-        syms,
-        n_exprs: pools.exprs as u32,
-        n_stmts: pools.stmts as u32,
-    };
-
-    let mut arena = Arena::new();
-    arena.exprs = Vec::with_capacity(pools.exprs);
-    for _ in 0..pools.exprs {
-        let expr = dec_expr(&mut d, &pools)?;
-        arena.exprs.push(expr);
-    }
-    arena.stmts = Vec::with_capacity(pools.stmts);
-    for _ in 0..pools.stmts {
-        let stmt = dec_stmt(&mut d, &pools)?;
-        arena.stmts.push(stmt);
-    }
-    arena.expr_ids = Vec::with_capacity(pools.expr_ids);
-    for _ in 0..pools.expr_ids {
-        let id = d.expr_id()?;
-        arena.expr_ids.push(id);
-    }
-    arena.stmt_ids = Vec::with_capacity(pools.stmt_ids);
-    for _ in 0..pools.stmt_ids {
-        let id = d.stmt_id()?;
-        arena.stmt_ids.push(id);
-    }
-    arena.args = Vec::with_capacity(pools.args);
-    for _ in 0..pools.args {
-        let value = d.expr_id()?;
-        let by_ref = d.r.bool()?;
-        arena.args.push(Arg { value, by_ref });
-    }
-    arena.params = Vec::with_capacity(pools.params);
-    for _ in 0..pools.params {
-        let name = d.sym()?;
-        let by_ref = d.r.bool()?;
-        let default = d.opt_expr_id()?;
-        let type_hint = d.opt_sym()?;
-        let variadic = d.r.bool()?;
-        arena.params.push(Param {
-            name,
-            by_ref,
-            default,
-            type_hint,
-            variadic,
-        });
-    }
-    arena.interp_parts = Vec::with_capacity(pools.interp_parts);
-    for _ in 0..pools.interp_parts {
-        let part = match d.r.u8()? {
-            0 => InterpPart::Lit(d.r.str()?.into()),
-            1 => InterpPart::Expr(d.expr_id()?),
-            _ => return d.r.fail("invalid interpolation tag"),
-        };
-        arena.interp_parts.push(part);
-    }
-    arena.array_items = Vec::with_capacity(pools.array_items);
-    for _ in 0..pools.array_items {
-        let key = d.opt_expr_id()?;
-        let value = d.expr_id()?;
-        arena.array_items.push((key, value));
-    }
-    arena.opt_exprs = Vec::with_capacity(pools.opt_exprs);
-    for _ in 0..pools.opt_exprs {
-        let opt = d.opt_expr_id()?;
-        arena.opt_exprs.push(opt);
-    }
-    arena.elseifs = Vec::with_capacity(pools.elseifs);
-    for _ in 0..pools.elseifs {
-        let cond = d.expr_id()?;
-        let (s, l) = d.range(pools.stmt_ids)?;
-        arena.elseifs.push((cond, StmtRange::from_raw_parts(s, l)));
-    }
-    arena.cases = Vec::with_capacity(pools.cases);
-    for _ in 0..pools.cases {
-        let value = d.opt_expr_id()?;
-        let (s, l) = d.range(pools.stmt_ids)?;
-        arena.cases.push(SwitchCase {
-            value,
-            body: StmtRange::from_raw_parts(s, l),
-        });
-    }
-    arena.catches = Vec::with_capacity(pools.catches);
-    for _ in 0..pools.catches {
-        let class = d.sym()?;
-        let var = d.sym()?;
-        let (s, l) = d.range(pools.stmt_ids)?;
-        arena.catches.push(Catch {
-            class,
-            var,
-            body: StmtRange::from_raw_parts(s, l),
-        });
-    }
-    arena.syms = Vec::with_capacity(pools.syms);
-    for _ in 0..pools.syms {
-        let s = d.sym()?;
-        arena.syms.push(s);
-    }
-    arena.static_vars = Vec::with_capacity(pools.static_vars);
-    for _ in 0..pools.static_vars {
-        let name = d.sym()?;
-        let init = d.opt_expr_id()?;
-        arena.static_vars.push((name, init));
-    }
-    arena.closure_uses = Vec::with_capacity(pools.closure_uses);
-    for _ in 0..pools.closure_uses {
-        let name = d.sym()?;
-        let by_ref = d.r.bool()?;
-        arena.closure_uses.push((name, by_ref));
-    }
-    arena.consts = Vec::with_capacity(pools.consts);
-    for _ in 0..pools.consts {
-        let name = d.sym()?;
-        let value = d.expr_id()?;
-        arena.consts.push((name, value));
-    }
-    arena.members = Vec::with_capacity(pools.members);
-    for _ in 0..pools.members {
-        let member = match d.r.u8()? {
-            0 => {
-                let name = d.sym()?;
-                let default = d.opt_expr_id()?;
-                let modifiers = dec_modifiers(d.r.u8()?, &d.r)?;
-                ClassMember::Property {
-                    name,
-                    default,
-                    modifiers,
-                    span: d.span()?,
-                }
-            }
-            1 => {
-                let mods = dec_modifiers(d.r.u8()?, &d.r)?;
-                ClassMember::Method(mods, dec_function(&mut d, &pools)?)
-            }
-            2 => {
-                let name = d.sym()?;
-                let value = d.expr_id()?;
-                ClassMember::Const {
-                    name,
-                    value,
-                    span: d.span()?,
-                }
-            }
-            3 => {
-                let (s, l) = d.range(pools.syms)?;
-                ClassMember::UseTrait(SymRange::from_raw_parts(s, l), d.span()?)
-            }
-            _ => return d.r.fail("invalid class member tag"),
-        };
-        arena.members.push(member);
-    }
-    arena.slices = slices;
-
-    let (ts, tl) = d.range(pools.stmt_ids)?;
-    let top = StmtRange::from_raw_parts(ts, tl);
-    let n_errors = d.r.u32()? as usize;
-    if n_errors > bytes.len() {
-        return d.r.fail("error list length exceeds input");
-    }
-    let mut errors = Vec::with_capacity(n_errors);
-    for _ in 0..n_errors {
-        let message = d.r.str()?;
-        let line = d.r.u32()?;
-        errors.push(ParseError {
-            message,
-            span: Span::at(line),
-        });
-    }
-    if !d.r.is_at_end() {
-        return d.r.fail("trailing bytes after file");
-    }
-    Ok(ParsedFile { arena, top, errors })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::parse;
-
-    /// Representative sources covering every node kind the corpus uses:
-    /// literals, OOP, closures, control flow, interpolation, recovery.
-    const SOURCES: &[&str] = &[
-        "<?php echo 1;",
-        "<?php $x = $_GET['a']; echo $x;",
-        r#"<?php
-        function f($a, &$b, $c = array(1, 2 => "x"), ...$rest) {
-            global $db;
-            static $n = 0, $m;
-            if ($a > 1) { return $a + 1; } elseif ($a < 0) { return -$a; }
-            else { while ($a--) { echo "loop $a\n"; } }
-            for ($i = 0; $i < 3; $i++) { continue; }
-            foreach ($c as $k => &$v) { $v .= "!"; }
-            switch ($a) { case 1: break; default: return null; }
-            try { throw new Exception("x"); } catch (Exception $e) { }
-            do { $a++; } while ($a < 2);
-            return isset($a, $b) ? trim($a) : (int)$b;
-        }
-        "#,
-        r#"<?php
-        class Widget extends Base implements A, B {
-            const LIMIT = 10;
-            public static $registry = array();
-            private $name;
-            public function __construct($name) { $this->name = $name; }
-            public function render() { echo $this->name; }
-            final protected function helper() { return self::LIMIT; }
-        }
-        interface A { public function render(); }
-        trait T { public function t() { return 1; } }
-        $w = new Widget($_POST['n']);
-        $w->render();
-        Widget::$registry[] = $w;
-        echo Widget::LIMIT, PHP_EOL;
-        "#,
-        r#"<?php
-        $f = function ($x) use (&$acc, $sep) { $acc .= $x . $sep; };
-        $f("a");
-        $g = $$name;
-        list($a, , $b) = explode(",", `ls -l`);
-        echo "interp {$a} and $b->prop end";
-        print @file_get_contents($a);
-        unset($a, $b);
-        include_once 'lib.php';
-        exit;
-        "#,
-        "<?php if ($a { echo 1; }", // recovered parse error
-        "plain html, no php at all",
-        "",
-    ];
-
-    #[test]
-    fn roundtrip_is_identity() {
-        for src in SOURCES {
-            let file = parse(src);
-            let bytes = encode_file(&file);
-            let back = decode_file(&bytes).unwrap_or_else(|e| panic!("decode {src:?}: {e}"));
-            assert_eq!(file, back, "source: {src:?}");
-        }
-    }
-
-    #[test]
-    fn roundtrip_preserves_parse_errors() {
-        let file = parse("<?php if ($a { echo 1; }");
-        assert!(!file.is_clean());
-        let back = decode_file(&encode_file(&file)).unwrap();
-        assert_eq!(file.errors, back.errors);
-    }
-
-    #[test]
-    fn every_truncation_fails_cleanly() {
-        let file = parse(SOURCES[2]);
-        let bytes = encode_file(&file);
-        // Chopping the encoding anywhere must produce an error (or, for
-        // the empty prefix, also an error) — never a panic.
-        for cut in 0..bytes.len() {
-            assert!(
-                decode_file(&bytes[..cut]).is_err(),
-                "truncation at {cut}/{} decoded successfully",
-                bytes.len()
-            );
-        }
-    }
-
-    #[test]
-    fn flipped_bytes_never_panic() {
-        let file = parse(SOURCES[3]);
-        let bytes = encode_file(&file);
-        // Flip each byte in turn; the decode must either fail or produce
-        // *some* file — it must never panic or index out of bounds. (A
-        // flip inside a string literal legitimately decodes.)
-        for i in 0..bytes.len() {
-            let mut mutated = bytes.clone();
-            mutated[i] ^= 0x5a;
-            let _ = decode_file(&mutated);
-        }
-    }
-
-    #[test]
-    fn garbage_inputs_fail() {
-        assert!(decode_file(b"").is_err());
-        assert!(decode_file(b"PAST").is_err());
-        assert!(decode_file(b"not an ast").is_err());
-        let mut huge_symtab = Vec::new();
-        huge_symtab.extend_from_slice(MAGIC);
-        huge_symtab.push(VERSION);
-        huge_symtab.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_file(&huge_symtab).is_err());
-    }
-
-    #[test]
-    fn encoding_is_deterministic() {
-        let src = SOURCES[3];
-        let a = encode_file(&parse(src));
-        let b = encode_file(&parse(src));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn decoded_file_prints_identically() {
-        use crate::printer::print_stmt;
-        for src in SOURCES {
-            let file = parse(src);
-            let back = decode_file(&encode_file(&file)).unwrap();
-            let a: Vec<String> = file
-                .top_stmts()
-                .iter()
-                .map(|&s| print_stmt(&file, s))
-                .collect();
-            let b: Vec<String> = back
-                .top_stmts()
-                .iter()
-                .map(|&s| print_stmt(&back, s))
-                .collect();
-            assert_eq!(a, b, "source: {src:?}");
         }
     }
 }

@@ -1,9 +1,7 @@
 //! ZAST v2: the alignment-padded, relocation-free on-disk AST layout used
 //! by the warm cache path.
 //!
-//! The PAST v1 codec ([`crate::codec`]) streams nodes through a byte
-//! `Reader`, re-materializing every record field by field. ZAST instead
-//! stores the flat [`Arena`] pools as fixed-width little-endian `u32`
+//! ZAST stores the flat [`Arena`] pools as fixed-width little-endian `u32`
 //! records behind a validated header and a relocation-free string table
 //! (an `(offset, len)` index into one UTF-8 blob), so a warm load can sit
 //! directly on the cached `Arc<[u8]>` payload:
@@ -46,7 +44,7 @@ use std::sync::Arc;
 
 /// Magic prefix of a ZAST payload.
 pub const MAGIC: &[u8; 4] = b"ZAST";
-/// Layout version (PAST v1 is the streaming codec in [`crate::codec`]).
+/// Layout version (v1 was a retired streaming codec).
 pub const VERSION: u32 = 2;
 
 const HEADER_WORDS: usize = 24;
@@ -82,12 +80,6 @@ type Result<T> = std::result::Result<T, CodecError>;
 
 fn align8(n: usize) -> usize {
     (n + 7) & !7
-}
-
-/// Whether `bytes` carries the ZAST magic (cheap dispatch between this
-/// layout and PAST v1 entries in a mixed-version cache directory).
-pub fn looks_like(bytes: &[u8]) -> bool {
-    bytes.len() >= 4 && &bytes[..4] == MAGIC
 }
 
 fn meta(tag: u8, a1: u8, a2: u8, a3: u8) -> u32 {
@@ -1689,17 +1681,24 @@ echo $undefined_syntax ===;
         assert!(!f.errors.is_empty(), "source should exercise recovery");
         let v = view(&bytes);
         assert_eq!(v.thaw(), f);
+        // Shapes the kitchen sink does not cover: an HTML-only file,
+        // `print @…` / bare `exit;`, and a recovered unclosed condition.
+        for src in [
+            "plain html, no php at all",
+            "<?php print @file_get_contents($a); exit;",
+            "<?php if ($a { echo 1; }",
+        ] {
+            let f = parse(src);
+            assert_eq!(view(&encode_file(&f)).thaw(), f, "source: {src:?}");
+        }
     }
 
     #[test]
     fn header_is_aligned_and_recognized() {
         let (_, bytes) = encoded();
-        assert!(looks_like(&bytes));
+        assert_eq!(&bytes[..4], MAGIC);
         assert_eq!(bytes.len() % 8, 0);
         assert_eq!(HEADER_BYTES % 8, 0);
-        let f = sink();
-        assert!(!looks_like(&crate::codec::encode_file(&f)));
-        assert!(!looks_like(b"PAS"));
     }
 
     #[test]

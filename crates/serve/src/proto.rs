@@ -32,7 +32,8 @@ pub struct AnalyzeRequest {
     pub paths: Vec<String>,
     /// Tool configurations to run; empty means the service default.
     pub tools: Vec<String>,
-    /// Worker override for this request; `None` means the daemon default.
+    /// How many whole (path, tool) analyses this request runs at once;
+    /// `None` means the daemon default. Each analysis itself is serial.
     pub jobs: Option<usize>,
     /// Unsaved editor buffers overlaid on the on-disk project: pairs of
     /// `(path, content)` in request order. Paths may be absolute under a

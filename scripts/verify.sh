@@ -10,6 +10,10 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --workspace --release --offline
 cargo test -q --offline --workspace
 
+# Rustdoc gate: every intra-doc link must resolve, so no doc can keep
+# pointing at an item that was renamed or deleted.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Observability crate in isolation (its tests also run in the workspace
 # pass above; this keeps a failure attributable).
 cargo test -q --offline -p phpsafe-obs
@@ -92,9 +96,8 @@ cargo test -q --offline -p phpsafe-eval --test obs_invariance
 cargo test -q --offline -p phpsafe-eval --test serve_invariance
 
 # Zero-copy warm-path invariance: artifacts and --explain chains must be
-# byte-identical across cold parse, PAST v1 decode, ZAST v2 borrowed
-# views (incl. mixed-version and truncated cache dirs), and per-function
-# job counts.
+# byte-identical across cold parse and ZAST v2 borrowed views (incl.
+# stale-fingerprint and truncated cache dirs) and across worker counts.
 cargo test -q --offline -p phpsafe-eval --test zero_copy_invariance
 
 # Incremental invariance: invalidate and dirty-buffer replies must be
@@ -185,10 +188,9 @@ grep -q '"queue_wait_us"' "$serve_telemetry" || {
 # response, 429 shedding under overload, and the telemetry stream.
 cargo bench -q --offline -p phpsafe-bench --bench serve_load -- --smoke >/dev/null
 
-# Zero-copy smoke: the three AST load paths must agree on the largest
-# corpus file, a cold-memory/warm-disk daemon request must answer in
-# under 5 ms, and per-function jobs must split the largest-file plugin
-# into sub-file units without changing a byte of output.
+# Zero-copy smoke: a cold parse and a ZAST borrowed view must agree on the
+# largest corpus file, and a cold-memory/warm-disk daemon request must
+# answer in under 5 ms.
 cargo bench -q --offline -p phpsafe-bench --bench zero_copy -- --smoke >/dev/null
 
 # Incremental smoke: over the dumped corpus, warm per-plugin requests
