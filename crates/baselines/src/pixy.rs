@@ -129,7 +129,6 @@ impl Pixy {
             max_include_depth: 0,
             work_limit: 10_000_000,
             trace_limit: 12,
-            taint_graph: false,
         };
         Pixy {
             engine: PhpSafe::new()
@@ -142,12 +141,6 @@ impl Pixy {
     /// Access to the underlying engine (for ablation benches).
     pub fn engine(&self) -> &PhpSafe {
         &self.engine
-    }
-
-    /// The same baseline with the whole-program taint-graph path toggled.
-    pub fn with_taint_graph(mut self, enabled: bool) -> Self {
-        self.engine = self.engine.with_taint_graph(enabled);
-        self
     }
 }
 

@@ -47,7 +47,6 @@ impl Rips {
             // RIPS finished every file in the paper's runs.
             work_limit: 50_000_000,
             trace_limit: 12,
-            taint_graph: false,
         };
         Rips {
             engine: PhpSafe::new()
@@ -60,12 +59,6 @@ impl Rips {
     /// Access to the underlying engine (for ablation benches).
     pub fn engine(&self) -> &PhpSafe {
         &self.engine
-    }
-
-    /// The same baseline with the whole-program taint-graph path toggled.
-    pub fn with_taint_graph(mut self, enabled: bool) -> Self {
-        self.engine = self.engine.with_taint_graph(enabled);
-        self
     }
 }
 

@@ -44,16 +44,11 @@ pub fn paper_tools() -> Vec<Box<dyn AnalysisTool>> {
     ]
 }
 
-/// [`paper_tools`] with the whole-program taint-graph analysis path
-/// enabled on every tool. Must produce byte-identical outcomes; only the
-/// analysis mechanics (one recorded walk, then per-class graph queries)
-/// differ.
+/// [`paper_tools`] under the name of the retired graph analysis path. It
+/// exists only so `perfbench` builds, and is deleted together with
+/// perfbench's `dataflow.*` readings.
 pub fn paper_tools_graph() -> Vec<Box<dyn AnalysisTool>> {
-    vec![
-        Box::new(PhpSafe::new().with_taint_graph(true)),
-        Box::new(crate::rips::Rips::new().with_taint_graph(true)),
-        Box::new(crate::pixy::Pixy::new().with_taint_graph(true)),
-    ]
+    paper_tools()
 }
 
 #[cfg(test)]

@@ -31,11 +31,6 @@
 //! * `--explain` — after the run, re-analyze corpus plugins with taint
 //!   events enabled and print the provenance chains of the first plugin
 //!   with findings.
-//! * `--taint-graph` — run every tool on the whole-program taint-graph
-//!   path (record one graph per analysis, answer each vulnerability
-//!   class as a reachability query). Tables are byte-identical to the
-//!   default walker; with `--cache-dir`, warm reruns answer from the
-//!   persisted graphs without re-walking.
 
 use phpsafe::EngineCaches;
 use phpsafe_corpus::{Corpus, Version};
@@ -51,7 +46,6 @@ const ENGINE_PREFIXES: &[&str] = &[
     "intern.",
     "cow.",
     "ast.",
-    "dataflow.",
     "diskcache.",
 ];
 
@@ -65,7 +59,6 @@ struct Opts {
     metrics_out: Option<String>,
     trace: bool,
     explain: bool,
-    taint_graph: bool,
 }
 
 fn parse_opts() -> Result<Opts, String> {
@@ -79,7 +72,6 @@ fn parse_opts() -> Result<Opts, String> {
         metrics_out: None,
         trace: false,
         explain: false,
-        taint_graph: false,
     };
     let mut what: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -89,7 +81,6 @@ fn parse_opts() -> Result<Opts, String> {
             "--engine-stats" => opts.engine_stats = true,
             "--trace" => opts.trace = true,
             "--explain" => opts.explain = true,
-            "--taint-graph" => opts.taint_graph = true,
             "--engine-stats-json" => {
                 let v = args.next().ok_or("--engine-stats-json requires a file")?;
                 opts.engine_stats_json = Some(v);
@@ -161,11 +152,7 @@ fn main() {
     let jobs = effective_jobs_reported(opts.jobs);
     let before = phpsafe_obs::snapshot();
     let e = if opts.serial {
-        if opts.taint_graph {
-            Evaluation::run_graph_with(Corpus::generate())
-        } else {
-            Evaluation::run()
-        }
+        Evaluation::run()
     } else {
         let caches = match &opts.cache_dir {
             Some(dir) => {
@@ -180,11 +167,7 @@ fn main() {
             }
             None => EngineCaches::new(),
         };
-        if opts.taint_graph {
-            Evaluation::run_engine_cached_graph(Corpus::generate(), jobs, &caches).0
-        } else {
-            Evaluation::run_engine_cached(Corpus::generate(), jobs, &caches).0
-        }
+        Evaluation::run_engine_cached(Corpus::generate(), jobs, &caches).0
     };
     let snap = phpsafe_obs::snapshot().since(&before);
     if opts.engine_stats {
@@ -211,7 +194,7 @@ fn main() {
         eprintln!("{}", phpsafe_obs::span_tree_text());
     }
     if opts.explain {
-        explain_first_findings(&e, opts.taint_graph);
+        explain_first_findings(&e);
     }
     match opts.what.as_str() {
         "table1" => print!("{}", tables::table1(&e, RecallMode::PaperOptimistic)),
@@ -244,9 +227,9 @@ fn main() {
 /// provenance chains of the first plugin phpSAFE reports findings for.
 /// (The evaluation retains confirmed ground-truth ids, not the raw
 /// `Vulnerability` records, so the chains come from a fresh pass.)
-fn explain_first_findings(e: &Evaluation, taint_graph: bool) {
+fn explain_first_findings(e: &Evaluation) {
     phpsafe_obs::set_events_enabled(true);
-    let tool = phpsafe::PhpSafe::new().with_taint_graph(taint_graph);
+    let tool = phpsafe::PhpSafe::new();
     for plugin in e.corpus().plugins() {
         phpsafe_obs::drain_events();
         let outcome = tool.analyze(plugin.project(Version::V2014));

@@ -30,7 +30,6 @@ pub struct AnalyzerOptions {
     pub resolve_includes: bool,
     /// Analyze functions never called from plugin code (§III.C). Off for
     /// Pixy, which the paper observed "is unable to do so".
-    /// Pixy.
     pub analyze_uncalled: bool,
     /// Model the legacy `register_globals = 1` directive: undefined global
     /// variables are attacker-controlled. Pixy-only behaviour (§V.A).
@@ -51,11 +50,6 @@ pub struct AnalyzerOptions {
     pub work_limit: u64,
     /// Maximum recorded data-flow trace steps per variable.
     pub trace_limit: usize,
-    /// Build the whole-program taint graph and answer each vulnerability
-    /// class as a graph reachability query (`--taint-graph`). The default
-    /// walk-per-analysis path stays the oracle; outcomes are required to
-    /// be byte-identical between the two.
-    pub taint_graph: bool,
 }
 
 impl Default for AnalyzerOptions {
@@ -71,7 +65,6 @@ impl Default for AnalyzerOptions {
             max_include_depth: 12,
             work_limit: 400_000,
             trace_limit: 12,
-            taint_graph: false,
         }
     }
 }
@@ -133,13 +126,6 @@ impl PhpSafe {
         self
     }
 
-    /// Toggles the whole-program taint-graph path, keeping every other
-    /// option as configured.
-    pub fn with_taint_graph(mut self, enabled: bool) -> Self {
-        self.options.taint_graph = enabled;
-        self
-    }
-
     /// Current options (read-only).
     pub fn options(&self) -> &AnalyzerOptions {
         &self.options
@@ -180,123 +166,6 @@ impl PhpSafe {
         project: &PluginProject,
         caches: Option<&EngineCaches>,
     ) -> AnalysisOutcome {
-        if self.options.taint_graph {
-            return self.analyze_graph(project, caches);
-        }
-        self.analyze_walk(project, caches, false).0
-    }
-
-    /// Graph mode: look the project's taint graph up in the caches and
-    /// answer from it; on a miss, run one recording walk, persist the
-    /// graph, and answer from the fresh graph — so warm and cold analyses
-    /// take the same assembly path. `dataflow.builds` counts recording
-    /// walks (exactly one per project content and tool fingerprint while
-    /// a cache set is shared), `dataflow.graph_hits` counts answers served
-    /// without walking.
-    fn analyze_graph(
-        &self,
-        project: &PluginProject,
-        caches: Option<&EngineCaches>,
-    ) -> AnalysisOutcome {
-        let key = project.content_key();
-        let fingerprint = self.fingerprint();
-        if let Some(c) = caches {
-            if let Some(pg) = c.lookup_graph(key, fingerprint) {
-                let _span = phpsafe_obs::span!("stage.analyze", project.name());
-                phpsafe_obs::count("dataflow.graph_hits", 1);
-                // Replay the recorded event stream so `--explain` sees the
-                // exact events a fresh walk of this project would emit.
-                if phpsafe_obs::events_enabled() {
-                    for n in pg.graph.events() {
-                        phpsafe_obs::emit(n.kind, n.file.as_str(), n.line, n.what.clone());
-                    }
-                }
-                return self.assemble_from_graph(project, &pg);
-            }
-        }
-        let (walked, pg) = self.analyze_walk(project, caches, true);
-        let pg = pg.expect("recording walk produces a graph");
-        phpsafe_obs::count("dataflow.builds", 1);
-        let pg = match caches {
-            Some(c) => c.store_graph(key, fingerprint, pg),
-            None => Arc::new(pg),
-        };
-        let outcome = self.assemble_from_graph(project, &pg);
-        debug_assert_eq!(
-            outcome, walked,
-            "graph assembly must reproduce the recording walk byte-for-byte"
-        );
-        outcome
-    }
-
-    /// Rebuilds a full [`AnalysisOutcome`] from a (possibly disk-loaded)
-    /// project graph: one reachability query per vulnerability class, hits
-    /// merged back into walk order, provenance paths resolved into traces,
-    /// then the same dedup + sort the walk applies.
-    fn assemble_from_graph(
-        &self,
-        project: &PluginProject,
-        pg: &crate::caching::ProjectGraph,
-    ) -> AnalysisOutcome {
-        use crate::report::Vulnerability;
-        use crate::taint::TraceStep;
-        use taint_config::VulnClass;
-
-        let mut hits: Vec<phpsafe_dataflow::QueryHit> = VulnClass::ALL
-            .iter()
-            .flat_map(|&class| pg.graph.query(class))
-            .collect();
-        hits.sort_by_key(|h| h.seq);
-        let vulns = hits
-            .iter()
-            .map(|h| {
-                let rec = &pg.graph.sinks[h.seq];
-                Vulnerability {
-                    class: rec.class,
-                    file: rec.file.clone(),
-                    line: rec.line,
-                    sink: rec.sink.clone(),
-                    var: rec.var.clone(),
-                    source_kind: rec.source_kind,
-                    labels: rec.labels,
-                    via_oop: rec.via_oop,
-                    numeric_hint: rec.numeric_hint,
-                    trace: pg
-                        .graph
-                        .resolve_path(rec)
-                        .into_iter()
-                        .map(|s| TraceStep {
-                            file: s.file,
-                            line: s.line,
-                            what: s.what,
-                        })
-                        .collect(),
-                }
-            })
-            .collect();
-        let mut outcome = AnalysisOutcome {
-            tool: self.tool_name.clone(),
-            plugin: project.name().to_string(),
-            vulns,
-            files: pg.files.clone(),
-            stats: pg.stats,
-        };
-        outcome.dedup();
-        outcome
-            .vulns
-            .sort_by(|a, b| (&a.file, a.line, a.class).cmp(&(&b.file, b.line, b.class)));
-        outcome
-    }
-
-    /// The four-stage pipeline, optionally recording the taint graph as a
-    /// side effect of the walk. The `record: false` path is byte-for-byte
-    /// the legacy analyzer.
-    fn analyze_walk(
-        &self,
-        project: &PluginProject,
-        caches: Option<&EngineCaches>,
-        record: bool,
-    ) -> (AnalysisOutcome, Option<crate::caching::ProjectGraph>) {
         let _span = phpsafe_obs::span!("stage.analyze", project.name());
 
         // ---- stage 2: model construction ----
@@ -363,32 +232,18 @@ impl PhpSafe {
             &parsed,
             summaries,
         );
-        if record {
-            interp.recorder = Some(std::cell::RefCell::new(phpsafe_dataflow::Recorder::new()));
-        }
         let mut total_work = 0u64;
         let mut failed_paths: Vec<(String, String)> = Vec::new();
         let mut paths: Vec<&String> = parsed.keys().collect();
         paths.sort();
         for path in paths {
             let vulns_before = interp.vulns.len();
-            let sinks_before = interp.recorder.as_ref().map(|rec| rec.borrow().sinks_len());
             let failure = interp.run_entry_file(path);
             total_work += interp.work;
             if let Some(msg) = failure {
                 // The paper's tools deliver nothing for a file they cannot
-                // finish: drop findings from the failed pass. The recorder
-                // drops the matching sink records in lockstep (its nodes
-                // stay — the events were emitted and must replay).
+                // finish: drop findings from the failed pass.
                 interp.vulns.truncate(vulns_before);
-                if let Some(mark) = sinks_before {
-                    interp
-                        .recorder
-                        .as_ref()
-                        .expect("recorder outlives the walk")
-                        .borrow_mut()
-                        .truncate_sinks(mark);
-                }
                 failed_paths.push((path.clone(), msg));
             }
         }
@@ -411,17 +266,8 @@ impl PhpSafe {
             .map(|(p, _)| p)
             .chain(rejected.iter())
             .collect();
-        let recorder = interp.recorder.take();
         let mut vulns = interp.vulns;
         vulns.retain(|v| !failed_set.contains(&v.file));
-        let graph = recorder.map(|cell| {
-            let mut rec = cell.into_inner();
-            // Mirror the vulnerability retain above at the sink level.
-            let failed: std::collections::HashSet<&str> =
-                failed_set.iter().map(|p| p.as_str()).collect();
-            rec.retain_sinks(|file| !failed.contains(file));
-            rec.finish()
-        });
 
         let stats = AnalysisStats {
             files_ok: reports.iter().filter(|r| r.failure.is_none()).count(),
@@ -432,15 +278,6 @@ impl PhpSafe {
             uncalled_functions: uncalled.len(),
             work_units: total_work,
         };
-
-        // The persisted graph carries the final file reports and stats so a
-        // warm hit reassembles the whole outcome without re-walking; sinks
-        // are stored pre-dedup/pre-sort (assembly re-applies both).
-        let project_graph = graph.map(|g| crate::caching::ProjectGraph {
-            graph: g,
-            files: reports.clone(),
-            stats,
-        });
 
         let mut outcome = AnalysisOutcome {
             tool: self.tool_name.clone(),
@@ -458,7 +295,7 @@ impl PhpSafe {
         phpsafe_obs::count("analyze.files", outcome.files.len() as u64);
         phpsafe_obs::count("analyze.vulns", outcome.vulns.len() as u64);
         phpsafe_obs::count("analyze.work_units", outcome.stats.work_units);
-        (outcome, project_graph)
+        outcome
     }
 }
 
@@ -899,87 +736,5 @@ mod tests {
         let o = analyze("<?php echo $_GET['page_id'];");
         assert_eq!(o.vulns.len(), 1);
         assert!(o.vulns[0].numeric_hint);
-    }
-
-    fn graph_options() -> AnalyzerOptions {
-        AnalyzerOptions {
-            taint_graph: true,
-            ..AnalyzerOptions::default()
-        }
-    }
-
-    #[test]
-    fn graph_mode_reproduces_walker_byte_for_byte() {
-        let probes = [
-            "<?php echo $_GET['name'];",
-            "<?php $a = $_POST['m']; $b = 'x: ' . $a; echo $b; mysql_query(\"SELECT $b\");",
-            "<?php $id = intval($_GET['id']); echo $id;
-             $raw = stripslashes(addslashes($_COOKIE['q'])); echo $raw;",
-            "<?php class P { public $t; function show() { echo $this->t; } }
-             $p = new P(); $p->t = $_REQUEST['x']; $p->show();",
-            "<?php foreach ($_GET as $v) { echo $v; }",
-            "<?php function f($x) { return 'v' . $x; } echo f($_SERVER['HTTP_REFERER']);",
-        ];
-        for src in probes {
-            let p = plugin(src);
-            let walker = PhpSafe::new().analyze(&p);
-            let graph = PhpSafe::new().with_options(graph_options()).analyze(&p);
-            assert_eq!(walker, graph, "graph mode diverged on {src}");
-        }
-    }
-
-    #[test]
-    fn graph_mode_drops_findings_from_failed_files_like_walker() {
-        // The first file reports a vulnerability, then blows the work
-        // budget: both modes must drop its findings but keep the second
-        // file's.
-        let heavy = format!("<?php echo $_GET['a'];{}", "$x = 1;".repeat(200));
-        let project = PluginProject::new("fail-probe")
-            .with_file(SourceFile::new("heavy.php", &heavy))
-            .with_file(SourceFile::new("ok.php", "<?php echo $_POST['b'];"));
-        let walk_opts = AnalyzerOptions {
-            work_limit: 60,
-            ..AnalyzerOptions::default()
-        };
-        let graph_opts = AnalyzerOptions {
-            taint_graph: true,
-            ..walk_opts.clone()
-        };
-        let walker = PhpSafe::new().with_options(walk_opts).analyze(&project);
-        let graph = PhpSafe::new().with_options(graph_opts).analyze(&project);
-        assert_eq!(walker.stats.files_failed, 1, "heavy.php must fail");
-        assert_eq!(walker.vulns.len(), 1, "only ok.php's finding survives");
-        assert_eq!(walker, graph);
-    }
-
-    #[test]
-    fn graph_builds_once_per_project_and_warm_hits_reproduce() {
-        let caches = EngineCaches::new();
-        // One project exercising both vulnerability classes.
-        let p = plugin("<?php $q = $_GET['q']; echo $q; mysql_query(\"SELECT $q\");");
-        let tool = PhpSafe::new().with_options(graph_options());
-        phpsafe_obs::set_enabled(true);
-        let before = phpsafe_obs::snapshot();
-        let cold = tool.analyze_with_caches(&p, Some(&caches));
-        let warm = tool.analyze_with_caches(&p, Some(&caches));
-        let delta = phpsafe_obs::snapshot().since(&before);
-        phpsafe_obs::set_enabled(false);
-        assert_eq!(cold, warm, "warm graph hit must reproduce the cold run");
-        assert_eq!(
-            delta.counter("dataflow.builds"),
-            1,
-            "one graph build shared across both vuln classes and a warm rerun"
-        );
-        assert_eq!(delta.counter("dataflow.graph_hits"), 1);
-        assert!(delta.counter("dataflow.nodes") > 0);
-        assert!(delta.counter("dataflow.edges") > 0);
-        // One query per registered vulnerability class, two analyses.
-        assert_eq!(
-            delta.counter("dataflow.queries"),
-            2 * taint_config::VulnClass::COUNT as u64
-        );
-        assert!(delta.counter("dataflow.path_hits") >= 2);
-        assert_eq!(cold.vulns.len(), 2);
-        assert_eq!(cold, PhpSafe::new().analyze(&p), "graph ≡ walker");
     }
 }

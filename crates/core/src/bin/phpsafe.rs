@@ -20,7 +20,6 @@
 //!   --trace               print data-flow traces and the span self-profile
 //!   --explain             print source→sanitizer→sink provenance chains
 //!   --cache-dir <DIR>     persistent artifact cache (warm-starts later runs)
-//!   --taint-graph         analyze via the whole-program taint graph
 //!   -h, --help            this help
 //!
 //! phpsafe serve [OPTIONS]   long-running analysis daemon (NDJSON protocol)
@@ -79,10 +78,6 @@ OPTIONS:
     --cache-dir <DIR>   persist parsed ASTs, call summaries and rendered
                         reports under DIR so later runs (batch or daemon)
                         warm-start from disk
-    --taint-graph       build one whole-program taint graph per project
-                        and answer each vulnerability class as a graph
-                        query (results identical to the default walker;
-                        with --cache-dir, warm runs skip re-walking)
     -h, --help          show this help
 
 SUBCOMMANDS:
@@ -127,8 +122,6 @@ OPTIONS:
                         (default: 64)
     --timeout-ms <N>    per-request deadline in milliseconds
                         (default: 300000)
-    --taint-graph       analyze via the whole-program taint graph; warm
-                        requests answer from stored graphs
     --telemetry-out <FILE>
                         stream one wide-event NDJSON line per request
                         (id, method, queue wait, stage timings, cache
@@ -146,7 +139,6 @@ const ENGINE_PREFIXES: &[&str] = &[
     "intern.",
     "cow.",
     "ast.",
-    "dataflow.",
     "diskcache.",
 ];
 
@@ -167,7 +159,6 @@ struct Cli {
     trace: bool,
     explain: bool,
     cache_dir: Option<PathBuf>,
-    taint_graph: bool,
 }
 
 impl Default for Cli {
@@ -188,7 +179,6 @@ impl Default for Cli {
             trace: false,
             explain: false,
             cache_dir: None,
-            taint_graph: false,
         }
     }
 }
@@ -208,7 +198,6 @@ fn parse_args(argv: &[String]) -> Result<Cli, String> {
             "--no-uncalled" => cli.no_uncalled = true,
             "--trace" => cli.trace = true,
             "--explain" => cli.explain = true,
-            "--taint-graph" => cli.taint_graph = true,
             "--engine-stats-json" => {
                 let v = args
                     .next()
@@ -273,7 +262,6 @@ struct ServeCli {
     workers: usize,
     queue: usize,
     timeout_ms: u64,
-    taint_graph: bool,
     telemetry_out: Option<PathBuf>,
     tail_keep: usize,
 }
@@ -288,7 +276,6 @@ fn parse_serve_args(argv: &[String]) -> Result<ServeCli, String> {
         workers: 1,
         queue: 64,
         timeout_ms: 300_000,
-        taint_graph: false,
         telemetry_out: None,
         tail_keep: 8,
     };
@@ -298,7 +285,6 @@ fn parse_serve_args(argv: &[String]) -> Result<ServeCli, String> {
         match a.as_str() {
             "-h" | "--help" => return Err(String::new()),
             "--stdio" => cli.stdio = true,
-            "--taint-graph" => cli.taint_graph = true,
             "--port" => {
                 let v = value("--port")?;
                 cli.port = v.parse().map_err(|_| format!("bad --port value `{v}`"))?;
@@ -372,14 +358,7 @@ fn run_serve(argv: &[String]) -> ExitCode {
     };
     let jobs = effective_jobs_reported(cli.jobs);
     let mut server = AnalysisServer::with_caches(caches).with_default_jobs(jobs);
-    server.register(
-        "phpSAFE",
-        Box::new(
-            PhpSafe::new()
-                .with_config(config)
-                .with_taint_graph(cli.taint_graph),
-        ),
-    );
+    server.register("phpSAFE", Box::new(PhpSafe::new().with_config(config)));
     let daemon = Daemon::start(
         Arc::new(server),
         ServerConfig {
@@ -440,7 +419,6 @@ fn main() -> ExitCode {
         oop: !cli.no_oop,
         resolve_includes: !cli.no_includes,
         analyze_uncalled: !cli.no_uncalled,
-        taint_graph: cli.taint_graph,
         ..AnalyzerOptions::default()
     };
 

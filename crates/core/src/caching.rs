@@ -18,7 +18,6 @@
 //! runs produce byte-identical reports; see [`shareable_calls`] and
 //! [`SharedSummary`] for the exact conditions.
 
-use crate::report::{AnalysisStats, FileReport};
 use crate::taint::{Taint, VarState};
 use php_ast::printer::{print_expr, print_stmt};
 use php_ast::visit::{self, Visitor};
@@ -26,7 +25,6 @@ use php_ast::{
     parse_tokens, Arena, Callee, ClassDecl, Expr, ExprId, FunctionDecl, ParsedFile, Stmt, StmtId,
 };
 use php_lexer::tokenize;
-use phpsafe_dataflow::TaintGraph;
 use phpsafe_engine::{
     fnv1a_64, ArtifactCache, CacheCounters, ContentKey, DepGraph, DiskCache, LoadedPayload,
 };
@@ -63,11 +61,6 @@ fn note_store(stored: bool) {
 /// Disk namespace for per-tool summary blobs.
 const SUMMARY_NAMESPACE: &str = "summary";
 
-/// Disk namespace for whole-program taint graphs (graph mode). Keyed by
-/// project content, fingerprinted by the analyzing tool's configuration —
-/// the graph encodes tool-specific propagation, so tools must not mix.
-const GRAPH_NAMESPACE: &str = "graph";
-
 /// Disk namespace for file-level dependency graphs (see
 /// [`phpsafe_engine::DepGraph`]). Keyed by project content only: the graph
 /// is built from ASTs and the symbol table, both configuration-independent,
@@ -77,18 +70,6 @@ const DEPGRAPH_NAMESPACE: &str = "depgraph";
 /// Fingerprint the `depgraph` namespace is stored under (the graph is
 /// configuration-independent, so a constant).
 const DEPGRAPH_FINGERPRINT: u64 = 0;
-
-/// The on-disk key of a persisted taint graph. Unlike ASTs (pure content
-/// artifacts), graphs depend on the recording tool's configuration, and
-/// several tools analyze identical project contents — so the tool
-/// fingerprint is folded into the disk key to give each tool its own
-/// entry instead of clobbering a shared one.
-fn graph_disk_key(key: ContentKey, fingerprint: u64) -> ContentKey {
-    ContentKey {
-        hash: phpsafe_engine::fnv1a_64_extend(key.hash, &fingerprint.to_le_bytes()),
-        len: key.len,
-    }
-}
 
 /// A shared token-stream/AST cache: one lex + parse per distinct file
 /// content, no matter how many tools, versions or plugins present it.
@@ -227,22 +208,6 @@ pub struct SharedSummary {
 /// Per-tool cache of cross-run call summaries.
 pub type SummaryCache = ArtifactCache<SummaryKey, SharedSummary>;
 
-/// The graph-mode artifact for one `(project content, tool fingerprint)`
-/// pair: the recorded whole-program taint graph plus the file reports and
-/// statistics needed to reassemble a byte-identical [`AnalysisOutcome`]
-/// without re-parsing or re-walking anything.
-///
-/// [`AnalysisOutcome`]: crate::report::AnalysisOutcome
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProjectGraph {
-    /// The recorded taint graph (nodes/edges/sink paths).
-    pub graph: TaintGraph,
-    /// Per-file reports, with parse-error counts and failures marked.
-    pub files: Vec<FileReport>,
-    /// Robustness statistics of the recording walk.
-    pub stats: AnalysisStats,
-}
-
 /// The shared caches one engine run threads through every analysis: a
 /// parse cache common to all tools, and one summary cache per tool (the
 /// tools differ in taint configuration and capability switches, so their
@@ -254,9 +219,6 @@ pub struct ProjectGraph {
 pub struct EngineCaches {
     ast: AstCache,
     summaries: Mutex<HashMap<String, Arc<SummaryCache>>>,
-    /// Whole-program taint graphs, keyed by project content and tool
-    /// fingerprint (graph mode only).
-    graphs: ArtifactCache<(ContentKey, u64), ProjectGraph>,
     /// File-level dependency graphs, keyed by project content (tool
     /// independent) — the invalidation index of the incremental path.
     depgraphs: ArtifactCache<ContentKey, DepGraph>,
@@ -307,45 +269,6 @@ impl EngineCaches {
             .entry(tool.to_string())
             .or_default()
             .clone()
-    }
-
-    /// The taint graph recorded for `(project content, tool fingerprint)`,
-    /// if one is cached: in-memory first, then the disk tier's `graph`
-    /// namespace. A persisted blob that fails to decode is dropped
-    /// (`diskcache.corrupt`) and the caller rebuilds the graph.
-    pub fn lookup_graph(&self, key: ContentKey, fingerprint: u64) -> Option<Arc<ProjectGraph>> {
-        if let Some(pg) = self.graphs.get(&(key, fingerprint)) {
-            return Some(pg);
-        }
-        let disk = self.disk.as_ref()?;
-        let disk_key = graph_disk_key(key, fingerprint);
-        let bytes = disk.load(GRAPH_NAMESPACE, disk_key, fingerprint)?;
-        match crate::persist::decode_project_graph(&bytes) {
-            Ok(pg) => Some(self.graphs.insert((key, fingerprint), pg)),
-            Err(_) => {
-                disk.note_corrupt(GRAPH_NAMESPACE, disk_key);
-                None
-            }
-        }
-    }
-
-    /// Stores a freshly recorded graph in memory and writes it through to
-    /// the disk tier (if any), so warm restarts answer without rebuilding.
-    pub fn store_graph(
-        &self,
-        key: ContentKey,
-        fingerprint: u64,
-        pg: ProjectGraph,
-    ) -> Arc<ProjectGraph> {
-        if let Some(disk) = &self.disk {
-            note_store(disk.store(
-                GRAPH_NAMESPACE,
-                graph_disk_key(key, fingerprint),
-                fingerprint,
-                &crate::persist::encode_project_graph(&pg),
-            ));
-        }
-        self.graphs.insert((key, fingerprint), pg)
     }
 
     /// The file-level dependency graph recorded for this project content,
@@ -473,7 +396,6 @@ impl EngineCaches {
         CacheTotals {
             parse: self.ast.counters(),
             summary,
-            graph: self.graphs.counters(),
         }
     }
 
@@ -487,8 +409,6 @@ impl EngineCaches {
         phpsafe_obs::count("cache.parse.misses", totals.parse.misses);
         phpsafe_obs::count("cache.summary.hits", totals.summary.hits);
         phpsafe_obs::count("cache.summary.misses", totals.summary.misses);
-        phpsafe_obs::count("cache.graph.hits", totals.graph.hits);
-        phpsafe_obs::count("cache.graph.misses", totals.graph.misses);
         totals
     }
 }
@@ -500,8 +420,6 @@ pub struct CacheTotals {
     pub parse: CacheCounters,
     /// Per-tool summary caches, summed.
     pub summary: CacheCounters,
-    /// Whole-program taint graph cache (graph mode).
-    pub graph: CacheCounters,
 }
 
 /// The disk key for `tool`'s summary blob: the tool name stands in for
@@ -918,72 +836,5 @@ mod tests {
         let totals = caches.record();
         assert_eq!(totals.parse.hits, 1);
         assert_eq!(totals.summary.lookups(), 2);
-    }
-
-    #[test]
-    fn graph_tier_persists_and_warm_starts() {
-        use crate::{AnalyzerOptions, PhpSafe, PluginProject, SourceFile};
-        use phpsafe_engine::DiskCache;
-        let dir = temp_dir("graph");
-        let plugin = PluginProject::new("p").with_file(SourceFile::new(
-            "p.php",
-            "<?php $q = $_GET['q']; echo $q; mysql_query(\"SELECT $q\");",
-        ));
-        let tool = PhpSafe::new().with_options(AnalyzerOptions {
-            taint_graph: true,
-            ..AnalyzerOptions::default()
-        });
-
-        let disk = Arc::new(DiskCache::open(&dir).unwrap());
-        let cold_caches = EngineCaches::with_disk(Arc::clone(&disk));
-        let cold = tool.analyze_with_caches(&plugin, Some(&cold_caches));
-        assert_eq!(cold_caches.totals().graph.misses, 1);
-        assert!(disk.counters().stores >= 1, "graph persisted to disk");
-
-        // A fresh cache set over the same directory (fresh process, in
-        // effect) answers from the persisted graph without re-walking.
-        let disk2 = Arc::new(DiskCache::open(&dir).unwrap());
-        let warm_caches = EngineCaches::with_disk(Arc::clone(&disk2));
-        let warm = tool.analyze_with_caches(&plugin, Some(&warm_caches));
-        assert_eq!(cold, warm, "warm disk graph reproduces the cold run");
-        assert!(disk2.counters().hits >= 1, "{:?}", disk2.counters());
-        assert_eq!(warm_caches.totals().graph.misses, 1);
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_graph_entry_falls_back_to_rebuild() {
-        use crate::{AnalyzerOptions, PhpSafe, PluginProject, SourceFile};
-        use phpsafe_engine::DiskCache;
-        let dir = temp_dir("graph-corrupt");
-        let plugin =
-            PluginProject::new("p").with_file(SourceFile::new("p.php", "<?php echo $_GET['x'];"));
-        let tool = PhpSafe::new().with_options(AnalyzerOptions {
-            taint_graph: true,
-            ..AnalyzerOptions::default()
-        });
-
-        let disk = Arc::new(DiskCache::open(&dir).unwrap());
-        let cold = tool.analyze_with_caches(&plugin, Some(&EngineCaches::with_disk(disk)));
-
-        // Garble only the graph tier; other namespaces stay intact.
-        let ns = dir.join(GRAPH_NAMESPACE);
-        let mut garbled = 0;
-        for entry in std::fs::read_dir(&ns).unwrap() {
-            let path = entry.unwrap().path();
-            let bytes = std::fs::read(&path).unwrap();
-            std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-            garbled += 1;
-        }
-        assert!(garbled >= 1, "graph namespace has persisted entries");
-
-        let disk2 = Arc::new(DiskCache::open(&dir).unwrap());
-        let caches = EngineCaches::with_disk(Arc::clone(&disk2));
-        let rebuilt = tool.analyze_with_caches(&plugin, Some(&caches));
-        assert_eq!(cold, rebuilt, "fell back to a fresh recording walk");
-        assert_eq!(disk2.counters().corrupt, 1, "{:?}", disk2.counters());
-
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -34,10 +34,8 @@ use php_ast::{
     Arena, ArgRange, AssignOp, Callee, Expr, ExprId, FunctionDecl, IncludeKind, InterpPart, Lit,
     Member, ParsedFile, Span, Stmt, StmtRange,
 };
-use phpsafe_dataflow::{Recorder, SinkInfo};
 use phpsafe_intern::{FnvHashMap, FnvHashSet, Symbol};
 use phpsafe_obs::TaintEventKind;
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 use taint_config::{SourceKind, TaintConfig, VulnClass};
@@ -108,10 +106,6 @@ pub(crate) struct Interp<'a> {
     included_once: FnvHashSet<String>,
     pub(crate) work: u64,
     pub(crate) failed: Option<String>,
-    /// Taint-graph recorder (graph mode only): mirrors every emitted event
-    /// as a graph node and every reported sink as a path record. Interior
-    /// mutability because events are emitted from `&self` contexts.
-    pub(crate) recorder: Option<RefCell<Recorder>>,
 }
 
 impl<'a> Interp<'a> {
@@ -140,7 +134,6 @@ impl<'a> Interp<'a> {
             included_once: FnvHashSet::default(),
             work: 0,
             failed: None,
-            recorder: None,
         }
     }
 
@@ -543,7 +536,7 @@ impl<'a> Interp<'a> {
                         line: span.line,
                         what: format!("read {}", print_expr(a, e)),
                     };
-                    self.emit_event_at(TaintEventKind::Propagated, step.line, &step.what, e);
+                    self.emit_event(TaintEventKind::Propagated, step.line, &step.what);
                     st.push_trace(step, self.opts.trace_limit);
                 }
                 st
@@ -591,7 +584,7 @@ impl<'a> Interp<'a> {
                             print_expr(a, value)
                         ),
                     };
-                    self.emit_event_at(TaintEventKind::Propagated, step.line, &step.what, target);
+                    self.emit_event(TaintEventKind::Propagated, step.line, &step.what);
                     st.push_trace(step, self.opts.trace_limit);
                 }
                 self.assign_to(a, target, st.clone(), f);
@@ -1050,7 +1043,7 @@ impl<'a> Interp<'a> {
         if !protects.is_empty() {
             let joined = self.join_all(&arg_states);
             let (kept, removed) = joined.taint.sanitize(&protects);
-            if removed.any() && self.observing() {
+            if removed.any() && phpsafe_obs::events_enabled() {
                 self.emit_event(
                     TaintEventKind::Sanitized,
                     span.line,
@@ -1467,33 +1460,12 @@ impl<'a> Interp<'a> {
         }
     }
 
-    /// Whether taint transitions have an audience: the `--explain` event
-    /// buffer, the taint-graph recorder, or both.
-    fn observing(&self) -> bool {
-        phpsafe_obs::events_enabled() || self.recorder.is_some()
-    }
-
     /// Forwards one taint transition to the observability event buffer
-    /// (`--explain`) and, in graph mode, to the recorder. `detail` matches
-    /// the wording of the data-flow trace step recorded at the same site,
-    /// so events, traces and graph nodes correlate.
+    /// (`--explain`). `detail` matches the wording of the data-flow trace
+    /// step recorded at the same site, so events and traces correlate.
     fn emit_event(&self, kind: TaintEventKind, line: u32, detail: &str) {
-        self.emit_event_with(kind, line, detail, None);
-    }
-
-    /// [`Interp::emit_event`] with arena provenance for sites where the
-    /// observed expression handle is in hand.
-    fn emit_event_at(&self, kind: TaintEventKind, line: u32, detail: &str, expr: ExprId) {
-        self.emit_event_with(kind, line, detail, Some(expr.provenance()));
-    }
-
-    fn emit_event_with(&self, kind: TaintEventKind, line: u32, detail: &str, expr: Option<u32>) {
         if phpsafe_obs::events_enabled() {
             phpsafe_obs::emit(kind, self.current_file().as_str(), line, detail.to_string());
-        }
-        if let Some(rec) = &self.recorder {
-            rec.borrow_mut()
-                .observe(kind, self.current_file(), line, detail, expr);
         }
     }
 
@@ -1501,7 +1473,7 @@ impl<'a> Interp<'a> {
         let Some(kind) = st.taint.kind_for(class) else {
             return;
         };
-        if self.observing() {
+        if phpsafe_obs::events_enabled() {
             self.emit_event(
                 TaintEventKind::SinkHit,
                 span.line,
@@ -1520,22 +1492,5 @@ impl<'a> Interp<'a> {
             numeric_hint: numeric_intent(&var),
             trace: st.trace.clone(),
         });
-        if let Some(rec) = &self.recorder {
-            let v = self.vulns.last().expect("just pushed");
-            rec.borrow_mut().record_sink(
-                SinkInfo {
-                    class: v.class,
-                    file: &v.file,
-                    line: v.line,
-                    sink: &v.sink,
-                    var: &v.var,
-                    source_kind: v.source_kind,
-                    labels: v.labels,
-                    via_oop: v.via_oop,
-                    numeric_hint: v.numeric_hint,
-                },
-                v.trace.iter().map(|s| (s.file, s.line, s.what.as_str())),
-            );
-        }
     }
 }

@@ -11,8 +11,7 @@
 //! [`Writer`], so a truncated or garbled blob decodes to a `CodecError`
 //! and the caller falls back to an empty cache — never a panic.
 
-use crate::caching::{ProjectGraph, SharedSummary, SummaryKey};
-use crate::report::{AnalysisStats, FileFailure, FileReport};
+use crate::caching::{SharedSummary, SummaryKey};
 use crate::taint::Taint;
 use php_ast::codec::{CodecError, Reader, Writer};
 use std::sync::Arc;
@@ -162,113 +161,6 @@ pub(crate) fn decode_summaries(
     Ok(out)
 }
 
-// ------------------------------------------------------- project graphs
-
-/// Bumped on any change to the project-graph wrapper encoding below (the
-/// embedded graph carries its own version byte).
-const GRAPH_VERSION: u8 = 1;
-
-fn enc_failure(w: &mut Writer, failure: &Option<FileFailure>) {
-    match failure {
-        None => w.u8(0),
-        Some(FileFailure::ResourceLimit(msg)) => {
-            w.u8(1);
-            w.str(msg);
-        }
-        Some(FileFailure::Unsupported(msg)) => {
-            w.u8(2);
-            w.str(msg);
-        }
-    }
-}
-
-fn dec_failure(r: &mut Reader) -> Result<Option<FileFailure>, CodecError> {
-    Ok(match r.u8()? {
-        0 => None,
-        1 => Some(FileFailure::ResourceLimit(r.str()?)),
-        2 => Some(FileFailure::Unsupported(r.str()?)),
-        _ => {
-            return Err(CodecError {
-                what: "invalid file failure tag",
-                at: r.offset(),
-            })
-        }
-    })
-}
-
-/// Encodes one [`ProjectGraph`] for the disk cache's `graph` namespace:
-/// the file reports and statistics of the recording walk, then the graph
-/// itself through `phpsafe_dataflow`'s codec.
-pub(crate) fn encode_project_graph(pg: &ProjectGraph) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u8(GRAPH_VERSION);
-    w.u32(pg.files.len() as u32);
-    for f in &pg.files {
-        w.str(&f.path);
-        w.u64(f.loc as u64);
-        w.u64(f.parse_errors as u64);
-        enc_failure(&mut w, &f.failure);
-    }
-    let s = &pg.stats;
-    w.u64(s.files_ok as u64);
-    w.u64(s.files_failed as u64);
-    w.u64(s.loc as u64);
-    w.u64(s.functions as u64);
-    w.u64(s.classes as u64);
-    w.u64(s.uncalled_functions as u64);
-    w.u64(s.work_units);
-    phpsafe_dataflow::encode_graph_into(&mut w, &pg.graph);
-    w.into_bytes()
-}
-
-/// Decodes a blob previously produced by [`encode_project_graph`].
-pub(crate) fn decode_project_graph(bytes: &[u8]) -> Result<ProjectGraph, CodecError> {
-    let mut r = Reader::new(bytes);
-    if r.u8()? != GRAPH_VERSION {
-        return Err(CodecError {
-            what: "unsupported project graph version",
-            at: 0,
-        });
-    }
-    let n_files = r.u32()? as usize;
-    if n_files > bytes.len() {
-        return Err(CodecError {
-            what: "file report count exceeds input",
-            at: r.offset(),
-        });
-    }
-    let mut files = Vec::with_capacity(n_files);
-    for _ in 0..n_files {
-        files.push(FileReport {
-            path: r.str()?,
-            loc: r.u64()? as usize,
-            parse_errors: r.u64()? as usize,
-            failure: dec_failure(&mut r)?,
-        });
-    }
-    let stats = AnalysisStats {
-        files_ok: r.u64()? as usize,
-        files_failed: r.u64()? as usize,
-        loc: r.u64()? as usize,
-        functions: r.u64()? as usize,
-        classes: r.u64()? as usize,
-        uncalled_functions: r.u64()? as usize,
-        work_units: r.u64()?,
-    };
-    let graph = phpsafe_dataflow::decode_graph_from(&mut r)?;
-    if !r.is_at_end() {
-        return Err(CodecError {
-            what: "trailing bytes after project graph",
-            at: r.offset(),
-        });
-    }
-    Ok(ProjectGraph {
-        graph,
-        files,
-        stats,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,112 +235,5 @@ mod tests {
     fn garbage_fails() {
         assert!(decode_summaries(b"").is_err());
         assert!(decode_summaries(b"\xff\xff\xff\xff").is_err());
-    }
-
-    fn sample_project_graph() -> ProjectGraph {
-        use phpsafe_dataflow::{Recorder, SinkInfo};
-        use phpsafe_intern::Symbol;
-        use phpsafe_obs::TaintEventKind;
-        use taint_config::SourceKind;
-
-        let file = Symbol::intern("persist.php");
-        let mut rec = Recorder::new();
-        rec.observe(
-            TaintEventKind::Introduced,
-            file,
-            2,
-            "$a tainted by source $_GET",
-            Some(4),
-        );
-        rec.observe(TaintEventKind::Propagated, file, 3, "$b = $a", None);
-        rec.observe(
-            TaintEventKind::SinkHit,
-            file,
-            4,
-            "echo receives tainted $b",
-            None,
-        );
-        rec.record_sink(
-            SinkInfo {
-                class: VulnClass::Xss,
-                file: "persist.php",
-                line: 4,
-                sink: "echo",
-                var: "$b",
-                source_kind: SourceKind::Get,
-                labels: TaintLabels::single(SourceKind::Get),
-                via_oop: true,
-                numeric_hint: false,
-            },
-            [
-                (file, 2, "$a tainted by source $_GET"),
-                (file, 3, "$b = $a"),
-                (file, 4, "echo receives tainted $b"),
-            ]
-            .into_iter(),
-        );
-        ProjectGraph {
-            graph: rec.finish(),
-            files: vec![
-                FileReport {
-                    path: "persist.php".into(),
-                    loc: 4,
-                    parse_errors: 0,
-                    failure: None,
-                },
-                FileReport {
-                    path: "heavy.php".into(),
-                    loc: 900,
-                    parse_errors: 1,
-                    failure: Some(FileFailure::ResourceLimit("work limit".into())),
-                },
-                FileReport {
-                    path: "odd.php".into(),
-                    loc: 7,
-                    parse_errors: 0,
-                    failure: Some(FileFailure::Unsupported("eval".into())),
-                },
-            ],
-            stats: AnalysisStats {
-                files_ok: 1,
-                files_failed: 2,
-                loc: 911,
-                functions: 3,
-                classes: 1,
-                uncalled_functions: 2,
-                work_units: 321,
-            },
-        }
-    }
-
-    #[test]
-    fn project_graph_roundtrips() {
-        let pg = sample_project_graph();
-        let blob = encode_project_graph(&pg);
-        let back = decode_project_graph(&blob).unwrap();
-        assert_eq!(back, pg);
-    }
-
-    #[test]
-    fn project_graph_blob_is_deterministic() {
-        let pg = sample_project_graph();
-        assert_eq!(encode_project_graph(&pg), encode_project_graph(&pg));
-    }
-
-    #[test]
-    fn project_graph_truncations_fail_cleanly() {
-        let blob = encode_project_graph(&sample_project_graph());
-        for cut in 0..blob.len() {
-            assert!(decode_project_graph(&blob[..cut]).is_err(), "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn project_graph_garbage_fails() {
-        assert!(decode_project_graph(b"").is_err());
-        assert!(decode_project_graph(b"\xff\xff\xff\xff\xff\xff").is_err());
-        let mut blob = encode_project_graph(&sample_project_graph());
-        blob.push(0);
-        assert!(decode_project_graph(&blob).is_err(), "trailing byte");
     }
 }

@@ -127,7 +127,7 @@ impl PluginProject {
     }
 
     /// The project's [`ContentKey`]: the content fingerprint plus total
-    /// content length. Persistent caches (daemon responses, taint graphs)
+    /// content length. Persistent caches (daemon responses, dependency graphs)
     /// key project-level artifacts on this.
     ///
     /// [`ContentKey`]: phpsafe_engine::ContentKey

@@ -338,19 +338,10 @@ impl Service for AnalysisServer {
         self.caches.persist();
         ctx.mark("persist_us", stage.elapsed());
         let totals_after = self.caches.totals();
-        let tier_hits = (totals_after.parse.hits
-            + totals_after.summary.hits
-            + totals_after.graph.hits)
-            .saturating_sub(
-                totals_before.parse.hits + totals_before.summary.hits + totals_before.graph.hits,
-            );
-        let tier_misses =
-            (totals_after.parse.misses + totals_after.summary.misses + totals_after.graph.misses)
-                .saturating_sub(
-                    totals_before.parse.misses
-                        + totals_before.summary.misses
-                        + totals_before.graph.misses,
-                );
+        let tier_hits = (totals_after.parse.hits + totals_after.summary.hits)
+            .saturating_sub(totals_before.parse.hits + totals_before.summary.hits);
+        let tier_misses = (totals_after.parse.misses + totals_after.summary.misses)
+            .saturating_sub(totals_before.parse.misses + totals_before.summary.misses);
         ctx.add_cache_hits(tier_hits);
         ctx.add_cache_misses(tier_misses);
 

@@ -12,7 +12,7 @@
 //! built from the parsed ASTs and the symbol table alone, so one graph per
 //! project content key serves every tool and fingerprint. It serializes
 //! into the [`DiskCache`](crate::DiskCache) under its own `depgraph`
-//! namespace alongside `ast`/`summary`/`outcome`/`graph`, with the same
+//! namespace alongside `ast`, `summary` and `outcome`, with the same
 //! corruption-tolerant envelope semantics.
 //!
 //! Like the rest of the engine layer, this module knows nothing about PHP:
@@ -277,12 +277,14 @@ mod tests {
     #[test]
     fn damaged_bytes_are_rejected() {
         let good = diamond().encode();
-        assert!(DepGraph::decode(&good[..good.len() - 1]).is_err());
         assert!(DepGraph::decode(b"XXXX").is_err());
         let mut bad_edge = good.clone();
         let last = bad_edge.len() - 4;
         bad_edge[last..].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(DepGraph::decode(&bad_edge).is_err());
         assert!(DepGraph::decode(&[]).is_err());
+        for cut in 0..good.len() {
+            assert!(DepGraph::decode(&good[..cut]).is_err(), "cut at {cut}");
+        }
     }
 }

@@ -75,8 +75,8 @@ pub struct DiskCounters {
 /// A persistent, content-addressed artifact store rooted at one directory.
 ///
 /// Entries live under `<root>/<namespace>/<hash>-<len>.psc`; the namespace
-/// separates artifact kinds (`"ast"`, `"summary"`, `"outcome"`) that share
-/// a content key space. All operations are infallible at the API level:
+/// separates artifact kinds (`"ast"`, `"summary"`, `"outcome"`,
+/// `"depgraph"`) that share a content key space. All operations are infallible at the API level:
 /// I/O errors degrade to misses (with a warning on stderr), never into the
 /// analysis result.
 pub struct DiskCache {

@@ -5,7 +5,7 @@
 use crate::metrics::{Metrics, RecallMode};
 use crate::oracle::{verify, MatchResult};
 use phpsafe::{AnalysisOutcome, EngineCaches, FileFailure, Vulnerability};
-use phpsafe_baselines::{paper_tools, AnalysisTool};
+use phpsafe_baselines::paper_tools;
 use phpsafe_corpus::{Corpus, GroundTruthEntry, Version};
 use phpsafe_engine::run_ordered;
 use phpsafe_obs::Snapshot;
@@ -53,20 +53,8 @@ impl Evaluation {
     /// Runs all tools over a prepared corpus, serially and uncached — the
     /// Table III timing methodology (each tool meets each plugin cold).
     pub fn run_with(corpus: Corpus) -> Evaluation {
-        Self::run_tools_with(corpus, paper_tools())
-    }
-
-    /// [`Evaluation::run_with`] on the taint-graph analysis path: every
-    /// tool records one whole-program graph per plugin and answers both
-    /// vulnerability classes from it. Every rendered artifact must be
-    /// byte-identical to the walker's.
-    pub fn run_graph_with(corpus: Corpus) -> Evaluation {
-        Self::run_tools_with(corpus, phpsafe_baselines::paper_tools_graph())
-    }
-
-    fn run_tools_with(corpus: Corpus, tools: Vec<Box<dyn AnalysisTool>>) -> Evaluation {
         let mut cells = Vec::new();
-        for tool in tools {
+        for tool in paper_tools() {
             for version in Version::ALL {
                 // The clock covers only the analyses; oracle verification
                 // is evaluation bookkeeping the paper's timings exclude.
@@ -121,26 +109,7 @@ impl Evaluation {
         jobs: usize,
         caches: &EngineCaches,
     ) -> (Evaluation, Snapshot) {
-        Self::run_engine_tools(corpus, jobs, caches, paper_tools())
-    }
-
-    /// [`Evaluation::run_engine_cached`] on the taint-graph analysis path.
-    /// With a disk-backed cache set, a warm restart answers every plugin
-    /// from its persisted graph without re-walking.
-    pub fn run_engine_cached_graph(
-        corpus: Corpus,
-        jobs: usize,
-        caches: &EngineCaches,
-    ) -> (Evaluation, Snapshot) {
-        Self::run_engine_tools(corpus, jobs, caches, phpsafe_baselines::paper_tools_graph())
-    }
-
-    fn run_engine_tools(
-        corpus: Corpus,
-        jobs: usize,
-        caches: &EngineCaches,
-        tools: Vec<Box<dyn AnalysisTool>>,
-    ) -> (Evaluation, Snapshot) {
+        let tools = paper_tools();
         let before = phpsafe_obs::snapshot();
 
         // Submission order = cell order = the serial loop's order.

@@ -47,14 +47,6 @@ impl ExprId {
         self.0
     }
 
-    /// The raw pool index as a provenance handle for downstream consumers
-    /// (e.g. taint-graph nodes record which arena expression they were
-    /// observed on). File-local and parse-order-deterministic; never
-    /// meaningful across files.
-    pub fn provenance(self) -> u32 {
-        self.0
-    }
-
     /// Rebuilds a handle from a raw pool index (for the binary codec).
     pub(crate) fn from_raw(raw: u32) -> ExprId {
         ExprId(raw)

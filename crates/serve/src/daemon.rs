@@ -3,9 +3,10 @@
 //! The analysis implementation lives downstream (phpsafe-core implements
 //! [`Service`]); this module owns everything operational around it — the
 //! bounded queue, the worker pool, per-request timeouts, graceful drain on
-//! shutdown, and the `serve.*` metrics. [`Daemon::handle_line`] is the
-//! single entry point used by both transports ([`run_stdio`] and
-//! [`run_tcp`]), so unit tests can drive the full protocol without a
+//! shutdown, and the `serve.*` metrics. Both transports ([`run_stdio`]
+//! and [`run_tcp`]) run one read/answer loop over
+//! [`Daemon::handle_bytes`]; [`Daemon::handle_line`] is the same entry
+//! point for text, so unit tests can drive the full protocol without a
 //! socket.
 //!
 //! Every request is assigned a monotonic `seq` the moment its line
@@ -27,7 +28,8 @@ use phpsafe_obs::{count, snapshot, time, TailSampler, TelemetrySink, WideEvent};
 use crate::ctx::RequestCtx;
 use crate::json::Json;
 use crate::proto::{
-    error_response, ok_response, parse_line, AnalyzeRequest, InvalidateRequest, Request,
+    error_response, ok_response, parse_line, AnalyzeRequest, InvalidateRequest, ParseFailure,
+    Request,
 };
 use crate::queue::{BoundedQueue, PushError};
 
@@ -297,10 +299,22 @@ impl Daemon {
     /// Handles one NDJSON request line and returns the response line plus
     /// whether the transport should keep reading.
     pub fn handle_line(&self, line: &str) -> (String, Control) {
+        self.handle_bytes(line.as_bytes())
+    }
+
+    /// [`Daemon::handle_line`] on the raw bytes a transport read: a line
+    /// that is not valid UTF-8 is a 400 like any other malformed request.
+    pub fn handle_bytes(&self, line: &[u8]) -> (String, Control) {
         count("serve.requests", 1);
         let seq = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
         let t0 = Instant::now();
-        let envelope = match parse_line(line) {
+        let parsed = std::str::from_utf8(line)
+            .map_err(|_| ParseFailure {
+                id: None,
+                message: "request is not valid UTF-8".into(),
+            })
+            .and_then(parse_line);
+        let envelope = match parsed {
             Ok(envelope) => envelope,
             Err(failure) => {
                 count("serve.bad_requests", 1);
@@ -489,24 +503,37 @@ impl Daemon {
     }
 }
 
+/// The transport loop both transports share: answers each request line
+/// of `reader` with one response line on `writer`, until EOF or a
+/// shutdown request. Lines are read as bytes, so a malformed one costs a
+/// 400, never the connection.
+fn serve_lines(
+    daemon: &Daemon,
+    mut reader: impl BufRead,
+    mut writer: impl Write,
+) -> io::Result<()> {
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        if reader.read_until(b'\n', &mut line)? == 0 {
+            return Ok(());
+        }
+        if line.trim_ascii().is_empty() {
+            continue;
+        }
+        let (response, control) = daemon.handle_bytes(&line);
+        writeln!(writer, "{response}")?;
+        writer.flush()?;
+        if control == Control::Shutdown {
+            return Ok(());
+        }
+    }
+}
+
 /// Serves the protocol over stdin/stdout until EOF or a shutdown request,
 /// then drains the queue.
 pub fn run_stdio(daemon: &Arc<Daemon>) -> io::Result<()> {
-    let stdin = io::stdin();
-    let stdout = io::stdout();
-    for line in stdin.lock().lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (response, control) = daemon.handle_line(&line);
-        let mut out = stdout.lock();
-        writeln!(out, "{response}")?;
-        out.flush()?;
-        if control == Control::Shutdown {
-            break;
-        }
-    }
+    serve_lines(daemon, io::stdin().lock(), io::stdout())?;
     daemon.shutdown();
     daemon.join();
     Ok(())
@@ -521,21 +548,8 @@ fn handle_conn(daemon: &Arc<Daemon>, stream: TcpStream) -> io::Result<()> {
     // One-line request/response traffic: Nagle + delayed ACK would add
     // ~40ms stalls per exchange on loopback.
     stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let reader = io::BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (response, control) = daemon.handle_line(&line);
-        writeln!(writer, "{response}")?;
-        writer.flush()?;
-        if control == Control::Shutdown {
-            break;
-        }
-    }
-    Ok(())
+    let writer = stream.try_clone()?;
+    serve_lines(daemon, io::BufReader::new(stream), writer)
 }
 
 /// Accepts loopback connections (one thread each) until a shutdown request
@@ -956,6 +970,27 @@ mod tests {
         assert!(seq_of(&late) > 0.0, "503 replies carry the seq");
         gate.wait(); // let the in-flight request finish during the drain
         assert_eq!(inflight.join().unwrap().get("ok"), Some(&Json::Bool(true)));
+        daemon.join();
+    }
+
+    #[test]
+    fn malformed_lines_get_400s_and_the_transport_keeps_serving() {
+        let daemon = Daemon::start(Mock::fast(), ServerConfig::default());
+        let mut input = b"{\"cmd\":\"status\",\"id\":\"\xff\"}\n".to_vec();
+        input.extend("[".repeat(200_000).bytes());
+        input.extend(b"\n{\"cmd\":\"status\"}\n");
+        let mut output = Vec::new();
+        serve_lines(&daemon, io::Cursor::new(input), &mut output).unwrap();
+        let replies: Vec<Json> = String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(|l| parse(l).unwrap())
+            .collect();
+        assert_eq!(replies.len(), 3);
+        assert_eq!(replies[0].get("code"), Some(&Json::Num(400.0)));
+        assert_eq!(replies[1].get("code"), Some(&Json::Num(400.0)));
+        assert_eq!(replies[2].get("ok"), Some(&Json::Bool(true)));
+        daemon.shutdown();
         daemon.join();
     }
 

@@ -126,11 +126,20 @@ fn emit_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Protocol requests nest
+/// at most 4 levels; the bound keeps a hostile line from overflowing the
+/// stack of the thread that parses it.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document. The full input must be consumed (trailing
 /// whitespace allowed).
 pub fn parse(input: &str) -> Result<Json, String> {
     let bytes = input.as_bytes();
-    let mut p = Parser { bytes, at: 0 };
+    let mut p = Parser {
+        bytes,
+        at: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -143,6 +152,8 @@ pub fn parse(input: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     at: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -180,11 +191,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.at)),
         }
+    }
+
+    /// Parses one array or object one nesting level down.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.at
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -326,9 +351,26 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        for src in ["", "{", "[1,", "nul", "\"open", "{\"a\" 1}", "12 34"] {
-            assert!(parse(src).is_err(), "should reject: {src}");
+        let deep_arr = "[".repeat(200_000);
+        let deep_obj = "{\"a\":".repeat(200_000);
+        for src in [
+            "",
+            "{",
+            "[1,",
+            "nul",
+            "\"open",
+            "{\"a\" 1}",
+            "12 34",
+            &deep_arr,
+            &deep_obj,
+        ] {
+            assert!(parse(src).is_err(), "should reject: {:.40}", src);
         }
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(
+            parse(&deepest).is_ok(),
+            "the nesting bound itself is accepted"
+        );
     }
 
     #[test]

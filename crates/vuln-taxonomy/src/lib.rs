@@ -24,7 +24,7 @@ use std::fmt;
 ///
 /// The first two are the paper's (§III.A); the rest extend the taxonomy.
 /// Ordering is significant: tables iterate [`VulnClass::ALL`] in this order,
-/// and the dataflow codec persists the discriminants.
+/// and the summary codec persists per-class taint labels in this order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum VulnClass {
     /// Cross-site scripting.

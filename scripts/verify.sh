@@ -43,26 +43,6 @@ for key in stage.lex stage.parse stage.analyze stage.eval cache.parse.hits \
     }
 done
 
-# Taint-graph invariance: the --taint-graph path (record one graph per
-# analysis, answer each vuln class as a reachability query) must render
-# byte-identical artifacts and --explain chains, across worker counts and
-# a warm cache-dir restart answered from persisted graphs.
-cargo test -q --offline -p phpsafe-eval --test graph_invariance
-
-# Smoke: a --taint-graph corpus run must surface the dataflow.* counter
-# family (one graph build per project, graph sizes, per-class queries).
-graph_metrics="$(mktemp)"
-trap 'rm -f "$metrics" "$graph_metrics"' EXIT
-cargo run -q --release --offline -p phpsafe-bench --bin repro -- \
-    --taint-graph --metrics-out "$graph_metrics" table2 >/dev/null
-for key in dataflow.builds dataflow.nodes dataflow.edges \
-           dataflow.queries dataflow.path_hits; do
-    grep -q "\"$key\"" "$graph_metrics" || {
-        echo "verify: $graph_metrics is missing required key $key" >&2
-        exit 1
-    }
-done
-
 # Taxonomy invariance: registering the extension vulnerability classes
 # must leave every paper-class outcome — and therefore every Table
 # I/II/III, Fig. 2 and --explain artifact — byte-identical to a registry
@@ -73,7 +53,7 @@ cargo test -q --offline -p phpsafe-eval --test taxonomy_invariance
 # surface the taxonomy.* metric family (registry size plus per-class
 # ground-truth/TP/FP gauges for every registered class slug).
 taxonomy_metrics="$(mktemp)"
-trap 'rm -f "$metrics" "$graph_metrics" "$taxonomy_metrics"' EXIT
+trap 'rm -f "$metrics" "$taxonomy_metrics"' EXIT
 cargo run -q --release --offline -p phpsafe-bench --bin repro -- \
     --metrics-out "$taxonomy_metrics" taxonomy >/dev/null
 for key in taxonomy.classes \
@@ -110,7 +90,7 @@ cargo test -q --offline -p phpsafe-eval --test incremental_invariance
 # sink for a known-vulnerable corpus plugin. (`phpsafe` exits 1 when it
 # finds vulnerabilities, so capture output before grepping.)
 plugin_dir="$(mktemp -d)"
-trap 'rm -f "$metrics" "$graph_metrics" "$taxonomy_metrics"; rm -rf "$plugin_dir"' EXIT
+trap 'rm -f "$metrics" "$taxonomy_metrics"; rm -rf "$plugin_dir"' EXIT
 cargo run -q --release --offline -p phpsafe-corpus --bin corpus-dump -- "$plugin_dir" >/dev/null
 explain_ok=0
 for d in "$plugin_dir"/2014/*/; do
@@ -131,7 +111,7 @@ fi
 serve_cache="$(mktemp -d)"
 serve_out="$(mktemp)"
 serve_telemetry="$(mktemp)"
-trap 'rm -f "$metrics" "$graph_metrics" "$taxonomy_metrics" "$serve_out" "$serve_telemetry"; rm -rf "$plugin_dir" "$serve_cache"' EXIT
+trap 'rm -f "$metrics" "$taxonomy_metrics" "$serve_out" "$serve_telemetry"; rm -rf "$plugin_dir" "$serve_cache"' EXIT
 serve_plugin="$(ls -d "$plugin_dir"/2014/*/ | head -n 1)"
 printf '{"cmd":"analyze","paths":["%s"],"id":1}\n{"cmd":"invalidate","paths":["%s"],"id":2}\n{"cmd":"metrics"}\n{"cmd":"metrics","format":"prometheus"}\n{"cmd":"shutdown"}\n' \
     "$serve_plugin" "$serve_plugin" |
