@@ -11,8 +11,8 @@
 //!   telemetry: a `RequestCtx` scratchpad, one `WideEvent` serialized to
 //!   NDJSON and offered to the tail sampler. This is what `--telemetry-out`
 //!   adds on top of plain metrics and must stay within a few percent.
-//! * `metrics+events` — additionally streaming taint events into the
-//!   ring buffer, the `--explain` configuration.
+//! * `metrics+events` — additionally capturing the analysis's taint
+//!   events (`analyze_explained`), the `--explain` configuration.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use phpsafe::PhpSafe;
@@ -38,7 +38,6 @@ fn bench_obs_overhead(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(5));
 
     phpsafe_obs::set_enabled(false);
-    phpsafe_obs::set_events_enabled(false);
     group.bench_function("disabled", |b| {
         b.iter(|| std::hint::black_box(tool.analyze(plugin.project(Version::V2014))))
     });
@@ -71,17 +70,13 @@ fn bench_obs_overhead(c: &mut Criterion) {
         })
     });
 
-    phpsafe_obs::set_events_enabled(true);
     group.bench_function("metrics+events", |b| {
         b.iter(|| {
-            phpsafe_obs::drain_events();
-            std::hint::black_box(tool.analyze(plugin.project(Version::V2014)))
+            std::hint::black_box(tool.analyze_explained(plugin.project(Version::V2014), None))
         })
     });
 
     phpsafe_obs::set_enabled(false);
-    phpsafe_obs::set_events_enabled(false);
-    phpsafe_obs::drain_events();
     group.finish();
 }
 

@@ -223,22 +223,17 @@ fn main() {
     }
 }
 
-/// Re-analyzes corpus plugins with taint events on and prints the
+/// Re-analyzes corpus plugins with taint events captured and prints the
 /// provenance chains of the first plugin phpSAFE reports findings for.
 /// (The evaluation retains confirmed ground-truth ids, not the raw
 /// `Vulnerability` records, so the chains come from a fresh pass.)
 fn explain_first_findings(e: &Evaluation) {
-    phpsafe_obs::set_events_enabled(true);
     let tool = phpsafe::PhpSafe::new();
     for plugin in e.corpus().plugins() {
-        phpsafe_obs::drain_events();
-        let outcome = tool.analyze(plugin.project(Version::V2014));
-        if outcome.vulns.is_empty() {
-            continue;
+        let (outcome, events) = tool.analyze_explained(plugin.project(Version::V2014), None);
+        if !outcome.vulns.is_empty() {
+            print!("{}", phpsafe::explain_outcome(&outcome, &events));
+            break;
         }
-        let events = phpsafe_obs::drain_events();
-        print!("{}", phpsafe::explain_outcome(&outcome, &events));
-        break;
     }
-    phpsafe_obs::set_events_enabled(false);
 }

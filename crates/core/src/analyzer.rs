@@ -5,6 +5,7 @@
 //! that also power the baselines and the ablation benches.
 
 use crate::caching::EngineCaches;
+use crate::explain::TaintEvent;
 use crate::interp::Interp;
 use crate::project::PluginProject;
 use crate::report::{AnalysisOutcome, AnalysisStats, FileFailure, FileReport};
@@ -166,6 +167,28 @@ impl PhpSafe {
         project: &PluginProject,
         caches: Option<&EngineCaches>,
     ) -> AnalysisOutcome {
+        self.run(project, caches, false).0
+    }
+
+    /// [`PhpSafe::analyze_with_caches`] that also returns the analysis's
+    /// own taint-event stream, the input [`crate::explain_outcome`] needs
+    /// for `--explain`. Capturing never changes the outcome.
+    pub fn analyze_explained(
+        &self,
+        project: &PluginProject,
+        caches: Option<&EngineCaches>,
+    ) -> (AnalysisOutcome, Vec<TaintEvent>) {
+        self.run(project, caches, true)
+    }
+
+    /// The pipeline behind both entry points; `capture` turns on the
+    /// interpreter's event stream.
+    fn run(
+        &self,
+        project: &PluginProject,
+        caches: Option<&EngineCaches>,
+        capture: bool,
+    ) -> (AnalysisOutcome, Vec<TaintEvent>) {
         let _span = phpsafe_obs::span!("stage.analyze", project.name());
 
         // ---- stage 2: model construction ----
@@ -231,6 +254,7 @@ impl PhpSafe {
             project,
             &parsed,
             summaries,
+            capture,
         );
         let mut total_work = 0u64;
         let mut failed_paths: Vec<(String, String)> = Vec::new();
@@ -266,6 +290,7 @@ impl PhpSafe {
             .map(|(p, _)| p)
             .chain(rejected.iter())
             .collect();
+        let events = interp.events.unwrap_or_default();
         let mut vulns = interp.vulns;
         vulns.retain(|v| !failed_set.contains(&v.file));
 
@@ -295,7 +320,7 @@ impl PhpSafe {
         phpsafe_obs::count("analyze.files", outcome.files.len() as u64);
         phpsafe_obs::count("analyze.vulns", outcome.vulns.len() as u64);
         phpsafe_obs::count("analyze.work_units", outcome.stats.work_units);
-        outcome
+        (outcome, events)
     }
 }
 

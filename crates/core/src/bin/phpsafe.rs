@@ -454,9 +454,6 @@ fn main() -> ExitCode {
     if want_obs {
         phpsafe_obs::set_enabled(true);
     }
-    if cli.explain {
-        phpsafe_obs::set_events_enabled(true);
-    }
 
     // Fan the projects across the engine's worker pool; output order
     // follows the command line regardless of scheduling.
@@ -472,11 +469,19 @@ fn main() -> ExitCode {
         None => EngineCaches::new(),
     };
     let jobs = effective_jobs_reported(cli.jobs);
+    // Under --explain each analysis returns its own taint events, so a
+    // chain is explained from the run that produced it.
     let (outcomes, _pool) = run_ordered(projects, jobs, |_, project| {
-        analyzer.analyze_with_caches(&project, Some(&caches))
+        if cli.explain {
+            analyzer.analyze_explained(&project, Some(&caches))
+        } else {
+            (
+                analyzer.analyze_with_caches(&project, Some(&caches)),
+                Vec::new(),
+            )
+        }
     });
     caches.persist();
-    let events = phpsafe_obs::drain_events();
 
     if want_obs {
         caches.record();
@@ -504,7 +509,7 @@ fn main() -> ExitCode {
     }
 
     let mut any_vulns = false;
-    for outcome in &outcomes {
+    for (outcome, events) in &outcomes {
         any_vulns |= !outcome.vulns.is_empty();
         if cli.html {
             out!("{}", phpsafe::render_html(outcome));
@@ -550,7 +555,7 @@ fn main() -> ExitCode {
                 }
             }
             if cli.explain && !outcome.vulns.is_empty() {
-                out!("{}", phpsafe::explain_outcome(outcome, &events).trim_end());
+                out!("{}", phpsafe::explain_outcome(outcome, events).trim_end());
             }
         }
     }

@@ -1,22 +1,66 @@
 //! `--explain`: provenance chains behind reported vulnerabilities.
 //!
 //! A [`crate::Vulnerability`] carries the data-flow trace the interpreter
-//! recorded (source → propagation → sink). With taint events enabled
-//! ([`phpsafe_obs::set_events_enabled`]) the interpreter additionally emits
-//! a [`TaintEvent`] per transition, using the *same wording* as the trace
-//! steps. [`explain_vuln`] joins the two: every trace step is anchored to
-//! its event (kind label, global order), and sanitizer applications — which
-//! leave no trace step of their own — are woven back in between the anchors
-//! they happened between. The result is the full
-//! source → sanitizer → sink story of one finding.
+//! recorded (source → propagation → sink). A capturing run
+//! ([`crate::PhpSafe::analyze_explained`]) additionally returns the
+//! analysis's own [`TaintEvent`] stream, one event per transition, using
+//! the *same wording* as the trace steps. [`explain_vuln`] joins the two:
+//! every trace step is anchored to its event (kind label, stream
+//! position), and sanitizer applications — which leave no trace step of
+//! their own — are woven back in between the anchors they happened
+//! between. The result is the full source → sanitizer → sink story of one
+//! finding.
 
 use crate::report::{AnalysisOutcome, Vulnerability};
 use crate::taint::TraceStep;
-use phpsafe_obs::{TaintEvent, TaintEventKind};
+use phpsafe_intern::Symbol;
 use std::fmt::Write as _;
 
-/// Infers a chain label for a trace step that no event anchors (events
-/// disabled, ring buffer wrapped, or the step predates this session).
+/// What happened to a taint mark.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TaintEventKind {
+    /// Taint entered the program (superglobal read, source function, ...).
+    Introduced,
+    /// Taint flowed through an assignment, index, property or call.
+    Propagated,
+    /// A sanitizer cleared the taint for its vulnerability class.
+    Sanitized,
+    /// A revert function (e.g. `stripslashes`) restored cleared taint.
+    Reverted,
+    /// Tainted data reached a sink — a vulnerability is reported.
+    SinkHit,
+}
+
+impl TaintEventKind {
+    /// Short lowercase label used in `--explain` output.
+    pub fn label(self) -> &'static str {
+        match self {
+            TaintEventKind::Introduced => "introduced",
+            TaintEventKind::Propagated => "propagated",
+            TaintEventKind::Sanitized => "sanitized",
+            TaintEventKind::Reverted => "reverted",
+            TaintEventKind::SinkHit => "sink-hit",
+        }
+    }
+}
+
+/// One taint transition of a capturing analysis. Its index in the stream
+/// the analysis returns is its emission order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TaintEvent {
+    /// The kind of transition.
+    pub kind: TaintEventKind,
+    /// File the transition happened in.
+    pub file: Symbol,
+    /// 1-based source line.
+    pub line: u32,
+    /// Human-readable description; matches the wording of the data-flow
+    /// trace steps so events and traces can be correlated.
+    pub detail: String,
+}
+
+/// Infers a chain label for a trace step that no event anchors (the run
+/// captured no events, or explains from the trace alone).
 fn infer_label(step: &TraceStep) -> &'static str {
     if step.what.starts_with("source ")
         || step.what.starts_with("register_globals ")
@@ -32,10 +76,11 @@ fn infer_label(step: &TraceStep) -> &'static str {
 
 /// Renders the provenance chain of one vulnerability.
 ///
-/// `events` is the taint-event stream of the run (e.g.
-/// [`mod@phpsafe_obs::events`]); pass an empty slice to explain from the trace
-/// alone. The chain always ends in the sink line, and always states which
-/// sanitizers the flow passed — explicitly saying so when there were none.
+/// `events` is the taint-event stream of the analysis that produced
+/// `vuln` ([`crate::PhpSafe::analyze_explained`]); pass an empty slice to
+/// explain from the trace alone. The chain always ends in the sink line,
+/// and always states which sanitizers the flow passed — explicitly saying
+/// so when there were none.
 pub fn explain_vuln(vuln: &Vulnerability, events: &[TaintEvent]) -> String {
     // The `[slug ← labels]` tag names the class and every contributing
     // source vector. The paper's own two classes keep their original
@@ -51,35 +96,26 @@ pub fn explain_vuln(vuln: &Vulnerability, events: &[TaintEvent]) -> String {
     );
 
     // Anchor each trace step to the first event with identical position and
-    // wording; anchored steps carry the event's kind and global order.
+    // wording; anchored steps carry the event's kind and stream index.
     let anchor = |step: &TraceStep| {
         events
             .iter()
-            .find(|e| e.file == step.file.as_str() && e.line == step.line && e.detail == step.what)
+            .position(|e| e.file == step.file && e.line == step.line && e.detail == step.what)
     };
-    let anchors: Vec<Option<&TaintEvent>> = vuln.trace.iter().map(anchor).collect();
-    let seqs: Vec<u64> = anchors.iter().flatten().map(|e| e.seq).collect();
-    let window = match (seqs.iter().min(), seqs.iter().max()) {
-        (Some(&lo), Some(&hi)) => Some((lo, hi)),
-        _ => None,
-    };
+    let anchors: Vec<Option<usize>> = vuln.trace.iter().map(anchor).collect();
 
     // Sanitizer applications emit events but record no trace step — weave
     // the ones that happened between this chain's anchors back in by
-    // sequence number.
-    let mut extra: Vec<&TaintEvent> = match window {
-        Some((lo, hi)) => events
-            .iter()
-            .filter(|e| {
-                e.kind == TaintEventKind::Sanitized
-                    && e.seq > lo
-                    && e.seq < hi
-                    && anchors.iter().flatten().all(|a| a.seq != e.seq)
-            })
+    // stream index.
+    let extra: Vec<usize> = match (
+        anchors.iter().flatten().min(),
+        anchors.iter().flatten().max(),
+    ) {
+        (Some(&lo), Some(&hi)) => (lo + 1..hi)
+            .filter(|&i| events[i].kind == TaintEventKind::Sanitized && !anchors.contains(&Some(i)))
             .collect(),
-        None => Vec::new(),
+        _ => Vec::new(),
     };
-    extra.sort_by_key(|e| e.seq);
     let mut extra = extra.into_iter().peekable();
 
     let mut sanitizers: Vec<String> = Vec::new();
@@ -90,25 +126,31 @@ pub fn explain_vuln(vuln: &Vulnerability, events: &[TaintEvent]) -> String {
     };
 
     for (step, anchor) in vuln.trace.iter().zip(&anchors) {
-        if let Some(&(_, _)) = window.as_ref() {
-            let step_seq = anchor.map(|a| a.seq);
-            while let Some(ev) = extra.peek() {
-                if step_seq.is_some_and(|s| ev.seq > s) {
-                    break;
-                }
-                push_line(&mut out, ev.kind.label(), &ev.file, ev.line, &ev.detail);
-                sanitizers.push(ev.detail.clone());
-                extra.next();
-            }
+        while let Some(ev) = extra.next_if(|&i| anchor.is_none_or(|a| i <= a)) {
+            let ev = &events[ev];
+            push_line(
+                &mut out,
+                ev.kind.label(),
+                ev.file.as_str(),
+                ev.line,
+                &ev.detail,
+            );
+            sanitizers.push(ev.detail.clone());
         }
-        let label = anchor.map(|a| a.kind.label()).unwrap_or(infer_label(step));
+        let label = anchor.map_or(infer_label(step), |a| events[a].kind.label());
         if label == TaintEventKind::Reverted.label() {
             sanitizers.push(step.what.clone());
         }
         push_line(&mut out, label, step.file.as_str(), step.line, &step.what);
     }
-    for ev in extra {
-        push_line(&mut out, ev.kind.label(), &ev.file, ev.line, &ev.detail);
+    for ev in extra.map(|i| &events[i]) {
+        push_line(
+            &mut out,
+            ev.kind.label(),
+            ev.file.as_str(),
+            ev.line,
+            &ev.detail,
+        );
         sanitizers.push(ev.detail.clone());
     }
     push_line(
@@ -148,17 +190,15 @@ mod tests {
     use crate::{PhpSafe, PluginProject, SourceFile};
 
     fn analyze_with_events(file: &str, src: &str) -> (AnalysisOutcome, Vec<TaintEvent>) {
-        phpsafe_obs::set_events_enabled(true);
         let plugin = PluginProject::new("demo").with_file(SourceFile::new(file, src));
-        let outcome = PhpSafe::new().analyze(&plugin);
-        phpsafe_obs::set_events_enabled(false);
-        // Unique file names keep this test's events apart from any other
-        // test that happens to run while the global switch is on.
-        let events = phpsafe_obs::events()
-            .into_iter()
-            .filter(|e| e.file == file)
-            .collect();
-        (outcome, events)
+        PhpSafe::new().analyze_explained(&plugin, None)
+    }
+
+    #[test]
+    fn kind_labels_are_stable() {
+        assert_eq!(TaintEventKind::Introduced.label(), "introduced");
+        assert_eq!(TaintEventKind::SinkHit.label(), "sink-hit");
+        assert_eq!(TaintEventKind::Reverted.label(), "reverted");
     }
 
     #[test]

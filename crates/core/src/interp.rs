@@ -25,6 +25,7 @@
 use crate::analyzer::AnalyzerOptions;
 use crate::caching::{shareable_calls, SharedSummary, SummaryCache, SummaryKey};
 use crate::env::Env;
+use crate::explain::{TaintEvent, TaintEventKind};
 use crate::report::{numeric_intent, Vulnerability};
 use crate::symbols::{FnRef, SymbolTable};
 use crate::taint::{Taint, TraceStep, VarState};
@@ -35,7 +36,6 @@ use php_ast::{
     Member, ParsedFile, Span, Stmt, StmtRange,
 };
 use phpsafe_intern::{FnvHashMap, FnvHashSet, Symbol};
-use phpsafe_obs::TaintEventKind;
 use std::collections::HashMap;
 use std::sync::Arc;
 use taint_config::{SourceKind, TaintConfig, VulnClass};
@@ -95,6 +95,9 @@ pub(crate) struct Interp<'a> {
     shared: Option<Arc<SummaryCache>>,
 
     pub(crate) vulns: Vec<Vulnerability>,
+    /// This analysis's taint-event stream for `--explain`; `None` when
+    /// the run does not capture events.
+    pub(crate) events: Option<Vec<TaintEvent>>,
     memo: FnvHashMap<CallKey, CallResult>,
     in_progress: FnvHashSet<CallKey>,
     /// Object-insensitive per-class property store: `(class, $prop)` → state.
@@ -116,6 +119,7 @@ impl<'a> Interp<'a> {
         project: &'a PluginProject,
         parsed: &'a HashMap<String, Arc<ParsedFile>>,
         shared: Option<Arc<SummaryCache>>,
+        capture: bool,
     ) -> Self {
         Interp {
             cfg,
@@ -125,6 +129,7 @@ impl<'a> Interp<'a> {
             parsed,
             shared,
             vulns: Vec::new(),
+            events: capture.then(Vec::new),
             memo: FnvHashMap::default(),
             in_progress: FnvHashSet::default(),
             class_props: FnvHashMap::default(),
@@ -1043,7 +1048,7 @@ impl<'a> Interp<'a> {
         if !protects.is_empty() {
             let joined = self.join_all(&arg_states);
             let (kept, removed) = joined.taint.sanitize(&protects);
-            if removed.any() && phpsafe_obs::events_enabled() {
+            if removed.any() && self.events.is_some() {
                 self.emit_event(
                     TaintEventKind::Sanitized,
                     span.line,
@@ -1460,20 +1465,27 @@ impl<'a> Interp<'a> {
         }
     }
 
-    /// Forwards one taint transition to the observability event buffer
+    /// Records one taint transition when this run captures events
     /// (`--explain`). `detail` matches the wording of the data-flow trace
     /// step recorded at the same site, so events and traces correlate.
-    fn emit_event(&self, kind: TaintEventKind, line: u32, detail: &str) {
-        if phpsafe_obs::events_enabled() {
-            phpsafe_obs::emit(kind, self.current_file().as_str(), line, detail.to_string());
+    fn emit_event(&mut self, kind: TaintEventKind, line: u32, detail: &str) {
+        if self.events.is_none() {
+            return;
         }
+        let event = TaintEvent {
+            kind,
+            file: self.current_file(),
+            line,
+            detail: detail.to_string(),
+        };
+        self.events.as_mut().expect("checked above").push(event);
     }
 
     fn report(&mut self, class: VulnClass, span: Span, sink: &str, st: &VarState, var: String) {
         let Some(kind) = st.taint.kind_for(class) else {
             return;
         };
-        if phpsafe_obs::events_enabled() {
+        if self.events.is_some() {
             self.emit_event(
                 TaintEventKind::SinkHit,
                 span.line,

@@ -665,6 +665,12 @@ mod tests {
         );
     }
 
+    /// Entries dropped as corrupt or stale so far.
+    fn dropped(cache: &DiskCache) -> u64 {
+        let c = cache.counters();
+        c.corrupt + c.evicted
+    }
+
     #[test]
     fn truncated_entry_is_corrupt_and_removed() {
         let cache = DiskCache::open(tmp_root("trunc")).unwrap();
@@ -672,27 +678,54 @@ mod tests {
         cache.store("ast", key, 0, b"some serialized artifact");
         let path = cache.entry_path("ast", key);
         let full = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() / 2]).unwrap();
-        assert_eq!(cache.load("ast", key, 0), None);
-        assert_eq!(cache.counters().corrupt, 1);
-        assert!(!path.exists(), "corrupt entry must be removed");
-        // Subsequent load is a clean miss, not another corruption.
-        assert_eq!(cache.load("ast", key, 0), None);
-        assert_eq!(cache.counters().corrupt, 1);
+        // Every proper prefix, the empty file included, fails closed as
+        // corrupt: a cut never reads as a stale entry.
+        for len in 0..full.len() {
+            std::fs::write(&path, &full[..len]).unwrap();
+            let before = cache.counters();
+            assert_eq!(cache.load("ast", key, 0), None, "prefix of {len} bytes");
+            assert_eq!(
+                cache.counters().corrupt,
+                before.corrupt + 1,
+                "prefix of {len} bytes"
+            );
+            assert_eq!(dropped(&cache), before.corrupt + before.evicted + 1);
+            assert!(!path.exists(), "corrupt entry must be removed");
+            // Subsequent load is a clean miss, not another corruption.
+            assert_eq!(cache.load("ast", key, 0), None);
+            assert_eq!(dropped(&cache), before.corrupt + before.evicted + 1);
+        }
     }
 
     #[test]
     fn flipped_payload_byte_fails_digest() {
         let cache = DiskCache::open(tmp_root("flip")).unwrap();
         let key = ContentKey::of(b"src3");
-        cache.store("ast", key, 0, b"payload bytes");
+        let payload = b"payload bytes";
+        cache.store("ast", key, 0, payload);
         let path = cache.entry_path("ast", key);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(cache.load("ast", key, 0), None);
-        assert_eq!(cache.counters().corrupt, 1);
+        let full = std::fs::read(&path).unwrap();
+        // A flip anywhere, header included, fails closed; a flip inside
+        // the payload fails its digest.
+        for at in 0..full.len() {
+            let mut bytes = full.clone();
+            bytes[at] ^= 0xff;
+            std::fs::write(&path, &bytes).unwrap();
+            let before = cache.counters();
+            assert_eq!(cache.load("ast", key, 0), None, "flip at byte {at}");
+            assert_eq!(
+                dropped(&cache),
+                before.corrupt + before.evicted + 1,
+                "flip at byte {at}"
+            );
+            if at >= full.len() - payload.len() {
+                assert_eq!(
+                    cache.counters().corrupt,
+                    before.corrupt + 1,
+                    "flip at byte {at}"
+                );
+            }
+        }
     }
 
     #[test]

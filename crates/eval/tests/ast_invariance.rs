@@ -51,16 +51,9 @@ fn explain_chains() -> String {
             "ast_inv_lib.php",
             "<?php function inv_helper($x) { return 'v' . $x; }",
         ));
-    phpsafe_obs::set_events_enabled(true);
-    let _ = phpsafe_obs::drain_events();
-    let outcome = PhpSafe::new()
+    let (outcome, events) = PhpSafe::new()
         .with_options(AnalyzerOptions::default())
-        .analyze(&project);
-    let events: Vec<_> = phpsafe_obs::drain_events()
-        .into_iter()
-        .filter(|e| e.file.starts_with("ast_inv_"))
-        .collect();
-    phpsafe_obs::set_events_enabled(false);
+        .analyze_explained(&project, None);
     assert!(
         !outcome.vulns.is_empty(),
         "probe plugin must report vulnerabilities"
@@ -68,8 +61,6 @@ fn explain_chains() -> String {
     phpsafe::explain_outcome(&outcome, &events)
 }
 
-// One test function: the event buffer and the events-enabled flag are
-// process-global, so the explain phase must not race the engine runs.
 #[test]
 fn artifacts_and_explain_identical_across_worker_counts() {
     // --- --explain chains: byte-stable across repeated runs ---

@@ -3,7 +3,9 @@
 //! evaluation at any worker count must agree on every result — and on
 //! every rendered artifact that doesn't embed wall-clock time.
 
+use phpsafe::{explain_outcome, EngineCaches, PhpSafe};
 use phpsafe_corpus::{Corpus, Version};
+use phpsafe_engine::run_ordered;
 use phpsafe_eval::{tables, Evaluation, RecallMode};
 
 #[test]
@@ -85,4 +87,39 @@ fn engine_is_deterministic_and_matches_serial() {
     }
 
     phpsafe_obs::set_enabled(false);
+}
+
+/// `--explain` over many plugins at once: every analysis explains from its
+/// own taint events, so each plugin's chains through one shared cache set,
+/// at any worker count, equal the chains of analyzing that plugin alone.
+#[test]
+fn explain_chains_match_single_plugin_runs_at_any_worker_count() {
+    let corpus = Corpus::generate();
+    let tool = PhpSafe::new();
+    let projects: Vec<_> = Version::ALL
+        .into_iter()
+        .flat_map(|v| corpus.plugins().iter().map(move |p| p.project(v)))
+        .collect();
+    let explain = |caches: &EngineCaches, project| {
+        let (outcome, events) = tool.analyze_explained(project, Some(caches));
+        explain_outcome(&outcome, &events)
+    };
+    let alone: Vec<String> = projects
+        .iter()
+        .map(|&p| explain(&EngineCaches::new(), p))
+        .collect();
+    assert!(alone.iter().any(|text| text.contains("reaches sink")));
+
+    for workers in [1, 8] {
+        let caches = EngineCaches::new();
+        let (shared, _) = run_ordered(projects.clone(), workers, |_, p| explain(&caches, p));
+        for (i, (a, b)) in alone.iter().zip(&shared).enumerate() {
+            assert_eq!(
+                a,
+                b,
+                "{} chains differ at {workers} workers",
+                projects[i].name()
+            );
+        }
+    }
 }

@@ -270,8 +270,7 @@ fn dirty_buffer_overlay_is_byte_identical_to_saving_the_edit() {
 }
 
 /// A probe plugin whose files cross-reference through an include and a
-/// function call, with paths prefixed `inc_` so event filtering stays
-/// immune to concurrent tests in this binary.
+/// function call.
 fn probe_project() -> PluginProject {
     PluginProject::new("inc-probe")
         .with_file(SourceFile::new(
@@ -289,14 +288,7 @@ fn explain_chains(
     project: &PluginProject,
     caches: Option<&EngineCaches>,
 ) -> String {
-    phpsafe_obs::set_events_enabled(true);
-    let _ = phpsafe_obs::drain_events();
-    let outcome = tool.analyze_with_caches(project, caches);
-    let events: Vec<_> = phpsafe_obs::drain_events()
-        .into_iter()
-        .filter(|e| e.file.starts_with("inc_"))
-        .collect();
-    phpsafe_obs::set_events_enabled(false);
+    let (outcome, events) = tool.analyze_explained(project, caches);
     assert!(
         !outcome.vulns.is_empty(),
         "probe plugin must report vulnerabilities"

@@ -1,9 +1,10 @@
 //! The observability contract: instrumentation may watch the pipeline,
 //! never steer it. Every deterministic artifact must be byte-identical
-//! whether the metrics/span switch and the taint-event stream are on,
-//! off, or toggled between runs.
+//! whether the metrics/span switch is on, off, or toggled between runs,
+//! and capturing an analysis's taint events must not change its outcome.
 
-use phpsafe_corpus::Corpus;
+use phpsafe::PhpSafe;
+use phpsafe_corpus::{Corpus, Version};
 use phpsafe_eval::{tables, Evaluation, RecallMode};
 
 /// Renders every timing-free artifact into one string.
@@ -25,16 +26,12 @@ fn artifacts_identical_with_and_without_instrumentation() {
     let corpus = Corpus::generate();
 
     phpsafe_obs::set_enabled(false);
-    phpsafe_obs::set_events_enabled(false);
     let dark = artifacts(&Evaluation::run_engine_with(corpus.clone(), 4).0);
 
     phpsafe_obs::set_enabled(true);
-    phpsafe_obs::set_events_enabled(true);
     let lit_eval = Evaluation::run_engine_with(corpus.clone(), 4).0;
     let lit = artifacts(&lit_eval);
     phpsafe_obs::set_enabled(false);
-    phpsafe_obs::set_events_enabled(false);
-    phpsafe_obs::drain_events();
 
     assert_eq!(
         dark, lit,
@@ -48,4 +45,21 @@ fn artifacts_identical_with_and_without_instrumentation() {
     let serial_lit = artifacts(&Evaluation::run_with(corpus));
     phpsafe_obs::set_enabled(false);
     assert_eq!(serial_dark, serial_lit);
+}
+
+#[test]
+fn capturing_taint_events_never_changes_an_outcome() {
+    let corpus = Corpus::generate();
+    let tool = PhpSafe::new();
+    for plugin in corpus.plugins() {
+        for v in Version::ALL {
+            let project = plugin.project(v);
+            assert_eq!(
+                tool.analyze_explained(project, None).0,
+                tool.analyze(project),
+                "capturing events changed {} {v:?}",
+                plugin.name
+            );
+        }
+    }
 }

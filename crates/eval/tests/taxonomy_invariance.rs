@@ -5,10 +5,6 @@
 //! two classes must produce identical outcomes — and therefore identical
 //! Table I/II/III, Fig. 2 and `--explain` artifacts, which are all pure
 //! functions of those outcomes.
-//!
-//! One test function on purpose: the explain phase toggles the global
-//! taint-event stream, which must not interleave with a concurrently
-//! running analysis from a sibling test.
 
 use phpsafe::{explain_outcome, PhpSafe};
 use phpsafe_corpus::{Corpus, Version};
@@ -40,13 +36,9 @@ fn paper_class_artifacts_survive_registry_extension() {
         .iter()
         .find(|p| !full.analyze(p.project(Version::V2014)).vulns.is_empty())
         .expect("a vulnerable 2014 plugin");
-    phpsafe_obs::set_events_enabled(true);
-    phpsafe_obs::drain_events();
-    let outcome_full = full.analyze(plugin.project(Version::V2014));
-    let events_full = phpsafe_obs::drain_events();
-    let outcome_restricted = restricted.analyze(plugin.project(Version::V2014));
-    let events_restricted = phpsafe_obs::drain_events();
-    phpsafe_obs::set_events_enabled(false);
+    let (outcome_full, events_full) = full.analyze_explained(plugin.project(Version::V2014), None);
+    let (outcome_restricted, events_restricted) =
+        restricted.analyze_explained(plugin.project(Version::V2014), None);
 
     let text_full = explain_outcome(&outcome_full, &events_full);
     let text_restricted = explain_outcome(&outcome_restricted, &events_restricted);

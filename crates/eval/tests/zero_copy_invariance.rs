@@ -73,14 +73,7 @@ fn explain_chains(
     project: &PluginProject,
     caches: Option<&EngineCaches>,
 ) -> String {
-    phpsafe_obs::set_events_enabled(true);
-    let _ = phpsafe_obs::drain_events();
-    let outcome = tool.analyze_with_caches(project, caches);
-    let events: Vec<_> = phpsafe_obs::drain_events()
-        .into_iter()
-        .filter(|e| e.file.starts_with("zc_"))
-        .collect();
-    phpsafe_obs::set_events_enabled(false);
+    let (outcome, events) = tool.analyze_explained(project, caches);
     assert!(
         !outcome.vulns.is_empty(),
         "probe plugin must report vulnerabilities"
@@ -88,8 +81,8 @@ fn explain_chains(
     phpsafe::explain_outcome(&outcome, &events)
 }
 
-// One test function: the obs counters and the events-enabled flag are
-// process-global, so phases must not race each other.
+// One test function: the obs counters are process-global, so phases must
+// not race each other.
 #[test]
 fn outcomes_identical_across_load_paths() {
     phpsafe_obs::set_enabled(true);

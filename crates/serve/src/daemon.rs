@@ -15,8 +15,9 @@
 //! record per request, streamed to the `--telemetry-out` sink and
 //! tail-sampled for the `telemetry` command.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -42,10 +43,10 @@ const DECLARED_COUNTERS: &[&str] = &[
     "serve.timeouts",
     "serve.errors",
     "serve.bad_requests",
+    "serve.worker_panics",
     "serve.request.wide_events",
     "serve.request.tail_sampled",
     "serve.request.telemetry_errors",
-    "events.dropped",
     "diskcache.bytes_read",
     "diskcache.bytes_written",
     "diskcache.borrowed_loads",
@@ -59,6 +60,11 @@ const DECLARED_COUNTERS: &[&str] = &[
     "incremental.files_dirty",
     "incremental.files_reanalyzed",
 ];
+
+/// Longest request line the transports accept, newline excluded. Dirty
+/// buffers carry whole files, so the cap is generous; it bounds the memory
+/// one line can pin.
+const MAX_REQUEST_BYTES: usize = 16 << 20;
 
 /// Histograms pre-registered at daemon start.
 const DECLARED_HISTOGRAMS: &[&str] = &[
@@ -197,13 +203,24 @@ impl Daemon {
                     time("serve.request.queue_wait", wait);
                     job.ctx.set_queue_wait(wait);
                     let t0 = Instant::now();
-                    let (outcome, histogram) = match &job.work {
-                        WorkItem::Analyze(request) => {
-                            (service.analyze(&job.ctx, request), "serve.analyze")
-                        }
-                        WorkItem::Invalidate(request) => {
-                            (service.invalidate(&job.ctx, request), "serve.invalidate")
-                        }
+                    // A panicking analysis answers 500 like any failed
+                    // one; the worker lives on to serve the next job.
+                    let outcome = catch_unwind(AssertUnwindSafe(|| match &job.work {
+                        WorkItem::Analyze(request) => service.analyze(&job.ctx, request),
+                        WorkItem::Invalidate(request) => service.invalidate(&job.ctx, request),
+                    }))
+                    .unwrap_or_else(|payload| {
+                        count("serve.worker_panics", 1);
+                        let what = payload
+                            .downcast_ref::<&str>()
+                            .copied()
+                            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                            .unwrap_or("unknown cause");
+                        Err(format!("{} panicked: {what}", job.work.method()))
+                    });
+                    let histogram = match job.work {
+                        WorkItem::Analyze(_) => "serve.analyze",
+                        WorkItem::Invalidate(_) => "serve.invalidate",
                     };
                     let spent = t0.elapsed();
                     job.ctx.set_service_time(spent);
@@ -305,9 +322,7 @@ impl Daemon {
     /// [`Daemon::handle_line`] on the raw bytes a transport read: a line
     /// that is not valid UTF-8 is a 400 like any other malformed request.
     pub fn handle_bytes(&self, line: &[u8]) -> (String, Control) {
-        count("serve.requests", 1);
-        let seq = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
-        let t0 = Instant::now();
+        let (seq, t0) = self.arrive();
         let parsed = std::str::from_utf8(line)
             .map_err(|_| ParseFailure {
                 id: None,
@@ -316,23 +331,7 @@ impl Daemon {
             .and_then(parse_line);
         let envelope = match parsed {
             Ok(envelope) => envelope,
-            Err(failure) => {
-                count("serve.bad_requests", 1);
-                // The id is echoed even on 400s whenever the line parsed
-                // far enough to reveal one, so client correlation holds
-                // across every response.
-                let id = failure.id.as_ref();
-                let response = error_response(seq, id, 400, &failure.message);
-                self.observe(Self::wide_event(
-                    seq,
-                    id,
-                    "invalid",
-                    "error:400",
-                    None,
-                    t0.elapsed(),
-                ));
-                return (response, Control::Continue);
-            }
+            Err(failure) => return (self.bad_request(seq, t0, failure), Control::Continue),
         };
         let id = envelope.id;
         let (method, response, control) = match envelope.request {
@@ -400,6 +399,39 @@ impl Daemon {
             t0.elapsed(),
         ));
         (response, control)
+    }
+
+    /// Counts an arriving request line and assigns its `seq`.
+    fn arrive(&self) -> (u64, Instant) {
+        count("serve.requests", 1);
+        (self.seq.fetch_add(1, Ordering::SeqCst) + 1, Instant::now())
+    }
+
+    /// The 400 reply to a line that is not a valid request.
+    fn bad_request(&self, seq: u64, t0: Instant, failure: ParseFailure) -> String {
+        count("serve.bad_requests", 1);
+        // The id is echoed even on 400s whenever the line parsed far
+        // enough to reveal one, so client correlation holds across every
+        // response.
+        let id = failure.id.as_ref();
+        let response = error_response(seq, id, 400, &failure.message);
+        self.observe(Self::wide_event(
+            seq,
+            id,
+            "invalid",
+            "error:400",
+            None,
+            t0.elapsed(),
+        ));
+        response
+    }
+
+    /// The 400 reply to a request line longer than [`MAX_REQUEST_BYTES`],
+    /// which the transport discards unread.
+    fn oversize_request(&self) -> String {
+        let (seq, t0) = self.arrive();
+        let message = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
+        self.bad_request(seq, t0, ParseFailure { id: None, message })
     }
 
     fn metrics_response(&self, seq: u64, id: Option<&Json>, prometheus: bool) -> String {
@@ -482,10 +514,19 @@ impl Daemon {
                         outcome = "error:500";
                         error_response(seq, ctx.client_id.as_ref(), 500, &message)
                     }
-                    Err(_) => {
+                    Err(mpsc::RecvTimeoutError::Timeout) => {
                         count("serve.timeouts", 1);
                         outcome = "error:504";
                         error_response(seq, ctx.client_id.as_ref(), 504, "request timed out")
+                    }
+                    Err(mpsc::RecvTimeoutError::Disconnected) => {
+                        outcome = "error:500";
+                        error_response(
+                            seq,
+                            ctx.client_id.as_ref(),
+                            500,
+                            "worker exited without replying",
+                        )
                     }
                 }
             }
@@ -506,7 +547,8 @@ impl Daemon {
 /// The transport loop both transports share: answers each request line
 /// of `reader` with one response line on `writer`, until EOF or a
 /// shutdown request. Lines are read as bytes, so a malformed one costs a
-/// 400, never the connection.
+/// 400, never the connection; a line longer than [`MAX_REQUEST_BYTES`]
+/// is skipped without being stored and answered the same way.
 fn serve_lines(
     daemon: &Daemon,
     mut reader: impl BufRead,
@@ -515,13 +557,18 @@ fn serve_lines(
     let mut line = Vec::new();
     loop {
         line.clear();
-        if reader.read_until(b'\n', &mut line)? == 0 {
+        let limit = MAX_REQUEST_BYTES as u64 + 1;
+        if (&mut reader).take(limit).read_until(b'\n', &mut line)? == 0 {
             return Ok(());
         }
-        if line.trim_ascii().is_empty() {
+        let (response, control) = if line.len() > MAX_REQUEST_BYTES && line.last() != Some(&b'\n') {
+            reader.skip_until(b'\n')?;
+            (daemon.oversize_request(), Control::Continue)
+        } else if line.trim_ascii().is_empty() {
             continue;
-        }
-        let (response, control) = daemon.handle_bytes(&line);
+        } else {
+            daemon.handle_bytes(&line)
+        };
         writeln!(writer, "{response}")?;
         writer.flush()?;
         if control == Control::Shutdown {
@@ -630,6 +677,9 @@ mod tests {
             ctx.set_content_key(format!("mock-{}", request.paths.len()));
             if request.paths == ["boom"] {
                 return Err("analysis failed".into());
+            }
+            if request.paths == ["panic"] {
+                panic!("mock analysis panicked");
             }
             Ok(Json::Obj(vec![(
                 "paths".to_owned(),
@@ -787,8 +837,8 @@ mod tests {
             "queue-wait histogram should be declared up front: {metrics}"
         );
         assert!(
-            metrics.contains("events.dropped"),
-            "events.dropped should be declared up front: {metrics}"
+            metrics.contains("serve.worker_panics"),
+            "serve.worker_panics should be declared up front: {metrics}"
         );
         daemon.shutdown();
         daemon.join();
@@ -918,6 +968,30 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_analysis_gets_a_500_and_the_worker_keeps_serving() {
+        phpsafe_obs::set_enabled(true);
+        let before = snapshot().counter("serve.worker_panics");
+        let daemon = Daemon::start(
+            Mock::fast(),
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+        );
+        let v = line(&daemon, r#"{"cmd":"analyze","paths":["panic"],"id":"p-1"}"#);
+        assert_eq!(v.get("code"), Some(&Json::Num(500.0)));
+        assert_eq!(v.get("id"), Some(&Json::Str("p-1".into())));
+        assert_eq!(seq_of(&v), 1.0, "500 replies carry the seq");
+        let error = v.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("mock analysis panicked"), "{error}");
+        assert_eq!(snapshot().counter("serve.worker_panics"), before + 1);
+        let next = line(&daemon, r#"{"cmd":"analyze","paths":["p"]}"#);
+        assert_eq!(next.get("ok"), Some(&Json::Bool(true)));
+        daemon.shutdown();
+        daemon.join();
+    }
+
+    #[test]
     fn slow_requests_time_out_with_504() {
         let daemon = Daemon::start(
             Arc::new(Mock {
@@ -978,6 +1052,8 @@ mod tests {
         let daemon = Daemon::start(Mock::fast(), ServerConfig::default());
         let mut input = b"{\"cmd\":\"status\",\"id\":\"\xff\"}\n".to_vec();
         input.extend("[".repeat(200_000).bytes());
+        input.push(b'\n');
+        input.extend(std::iter::repeat_n(b'x', MAX_REQUEST_BYTES + 1));
         input.extend(b"\n{\"cmd\":\"status\"}\n");
         let mut output = Vec::new();
         serve_lines(&daemon, io::Cursor::new(input), &mut output).unwrap();
@@ -986,10 +1062,13 @@ mod tests {
             .lines()
             .map(|l| parse(l).unwrap())
             .collect();
-        assert_eq!(replies.len(), 3);
+        assert_eq!(replies.len(), 4);
         assert_eq!(replies[0].get("code"), Some(&Json::Num(400.0)));
         assert_eq!(replies[1].get("code"), Some(&Json::Num(400.0)));
-        assert_eq!(replies[2].get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(replies[2].get("code"), Some(&Json::Num(400.0)));
+        let error = replies[2].get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("exceeds"), "{error}");
+        assert_eq!(replies[3].get("ok"), Some(&Json::Bool(true)));
         daemon.shutdown();
         daemon.join();
     }

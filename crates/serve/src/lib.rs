@@ -23,7 +23,8 @@
 //!
 //! Operational metrics are reported through `phpsafe-obs` under the
 //! `serve.*` prefix: `serve.requests`, `serve.accepted`, `serve.rejected`,
-//! `serve.timeouts`, `serve.errors`, `serve.bad_requests` counters plus
+//! `serve.timeouts`, `serve.errors`, `serve.bad_requests`,
+//! `serve.worker_panics` counters plus
 //! `serve.request` / `serve.analyze` / `serve.request.queue_wait` latency
 //! histograms, all retrievable in-band via the `metrics` command (as JSON
 //! or Prometheus text exposition).

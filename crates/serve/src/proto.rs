@@ -15,8 +15,9 @@
 //! ```
 //!
 //! Responses are `{"ok":true,...}` or `{"ok":false,"code":N,"error":"..."}`
-//! with HTTP-flavoured codes (`400` malformed, `429` queue full, `503`
-//! draining, `504` request timeout, `500` analysis failure). Every
+//! with HTTP-flavoured codes (`400` malformed or oversize, `429` queue
+//! full, `503` draining, `504` request timeout, `500` analysis failure or
+//! panic). Every
 //! response — success or error, including `400` replies to lines that
 //! never parsed — carries the server-assigned request id as `"seq"`, and
 //! the client's `id` whenever the line got far enough to reveal one (a

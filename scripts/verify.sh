@@ -86,24 +86,23 @@ cargo test -q --offline -p phpsafe-eval --test zero_copy_invariance
 # after an invalidate-heavy daemon session.
 cargo test -q --offline -p phpsafe-eval --test incremental_invariance
 
-# Smoke: --explain must print at least one provenance chain ending in a
-# sink for a known-vulnerable corpus plugin. (`phpsafe` exits 1 when it
-# finds vulnerabilities, so capture output before grepping.)
+# Smoke: --explain over every 2014 plugin at once must print provenance
+# chains ending in a sink, byte-identical at 1 and 8 workers (each
+# analysis explains from its own taint events). `phpsafe` exits 1 when it
+# finds vulnerabilities, so capture output before comparing.
 plugin_dir="$(mktemp -d)"
 trap 'rm -f "$metrics" "$taxonomy_metrics"; rm -rf "$plugin_dir"' EXIT
 cargo run -q --release --offline -p phpsafe-corpus --bin corpus-dump -- "$plugin_dir" >/dev/null
-explain_ok=0
-for d in "$plugin_dir"/2014/*/; do
-    out="$(cargo run -q --release --offline -p phpsafe --bin phpsafe -- --explain "$d" || true)"
-    if printf '%s' "$out" | grep -q "reaches sink"; then
-        explain_ok=1
-        break
-    fi
-done
-if [ "$explain_ok" -ne 1 ]; then
-    echo "verify: --explain printed no provenance chain for any 2014 plugin" >&2
+explain_1="$(cargo run -q --release --offline -p phpsafe --bin phpsafe -- --explain --jobs 1 "$plugin_dir"/2014/*/ || true)"
+explain_8="$(cargo run -q --release --offline -p phpsafe --bin phpsafe -- --explain --jobs 8 "$plugin_dir"/2014/*/ || true)"
+[ "$explain_1" = "$explain_8" ] || {
+    echo "verify: --explain output differs between --jobs 1 and --jobs 8" >&2
     exit 1
-fi
+}
+grep -q "reaches sink" <<<"$explain_1" || {
+    echo "verify: --explain printed no provenance chain for the 2014 plugins" >&2
+    exit 1
+}
 
 # Smoke: the daemon must start, answer one analyze round-trip, report the
 # serve.*/diskcache.* metric families, and shut down cleanly. Driven over
@@ -132,7 +131,7 @@ sed -n 2p "$serve_out" | grep -q '"ok":true,"seq":2.*"projects"' || {
 }
 for key in serve.requests serve.accepted serve.request serve.analyze \
            serve.invalidate serve.request.queue_wait serve.request.wide_events \
-           events.dropped diskcache.misses diskcache.stores \
+           serve.worker_panics diskcache.misses diskcache.stores \
            diskcache.bytes_read diskcache.bytes_written \
            diskcache.borrowed_loads diskcache.store_failed \
            diskcache.mmap_loads depgraph.builds depgraph.hits \
