@@ -31,7 +31,7 @@ fn corpus_names() -> &'static Vec<String> {
                         tok.kind,
                         php_lexer::TokenKind::Identifier | php_lexer::TokenKind::Variable
                     ) {
-                        names.push(tok.text);
+                        names.push(tok.text.to_string());
                     }
                 }
             }

@@ -38,7 +38,10 @@ pub const AST_NAMESPACE: &str = "ast";
 /// Fingerprint the `ast` namespace is stored under. Parsing is
 /// configuration-independent, so this only versions the payload format.
 // 1: entries written under 0 may hold the retired PAST v1 codec.
-pub const AST_FINGERPRINT: u64 = 1;
+// 2: the lexer no longer invents a terminator for an unterminated nowdoc
+//    and reads a label-less `<<<` as `<<` `<`, so entries written under 1
+//    may hold a different tree for such malformed input.
+pub const AST_FINGERPRINT: u64 = 2;
 
 /// Flags a [`DiskCache::store`] result at an engine call site. Individual
 /// failures already warn with the exact path and count into

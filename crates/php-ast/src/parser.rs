@@ -43,9 +43,9 @@ pub fn parse(src: &str) -> ParsedFile {
 /// let file = parse_tokens(tokenize("<?php echo $_GET['id'];"));
 /// assert!(file.is_clean());
 /// ```
-pub fn parse_tokens(toks: Vec<Token>) -> ParsedFile {
+pub fn parse_tokens(mut toks: Vec<Token<'_>>) -> ParsedFile {
     let _span = phpsafe_obs::span!("stage.parse", toks.len());
-    let toks: Vec<Token> = toks.into_iter().filter(|t| !t.kind.is_trivia()).collect();
+    toks.retain(|t| !t.kind.is_trivia());
     let file = Parser::new(toks).parse_file();
     phpsafe_obs::count("parse.files", 1);
     phpsafe_obs::count("parse.errors", file.errors.len() as u64);
@@ -55,18 +55,26 @@ pub fn parse_tokens(toks: Vec<Token>) -> ParsedFile {
     file
 }
 
-struct Parser {
-    toks: Vec<Token>,
+/// Expression nesting the parser descends into before it records an error
+/// instead: a bound on recursion depth, so hostile input cannot overflow
+/// the stack.
+const MAX_NESTING: u32 = 256;
+
+struct Parser<'a> {
+    toks: Vec<Token<'a>>,
     pos: usize,
+    /// Current [`Parser::parse_prefix`] recursion depth.
+    depth: u32,
     arena: Arena,
     errors: Vec<ParseError>,
 }
 
-impl Parser {
-    fn new(toks: Vec<Token>) -> Self {
+impl<'a> Parser<'a> {
+    fn new(toks: Vec<Token<'a>>) -> Self {
         Parser {
             toks,
             pos: 0,
+            depth: 0,
             arena: Arena::new(),
             errors: Vec::new(),
         }
@@ -74,7 +82,7 @@ impl Parser {
 
     // ---- stream primitives ----
 
-    fn peek(&self) -> Option<&Token> {
+    fn peek(&self) -> Option<&Token<'a>> {
         self.toks.get(self.pos)
     }
 
@@ -101,8 +109,8 @@ impl Parser {
         Span::at(self.line())
     }
 
-    fn bump(&mut self) -> Option<Token> {
-        let t = self.toks.get(self.pos).cloned();
+    fn bump(&mut self) -> Option<Token<'a>> {
+        let t = self.toks.get(self.pos).copied();
         if t.is_some() {
             self.pos += 1;
         }
@@ -824,7 +832,7 @@ impl Parser {
             name.push('\\');
         }
         match self.peek_kind() {
-            Some(K::Identifier) => name.push_str(&self.bump().expect("id").text),
+            Some(K::Identifier) => name.push_str(self.bump().expect("id").text),
             Some(K::Static) => {
                 self.bump();
                 name.push_str("static");
@@ -842,7 +850,7 @@ impl Parser {
         while self.at(K::Backslash) && matches!(self.peek_kind_at(1), Some(K::Identifier)) {
             self.bump();
             name.push('\\');
-            name.push_str(&self.bump().expect("id").text);
+            name.push_str(self.bump().expect("id").text);
         }
         Some(name)
     }
@@ -1210,7 +1218,20 @@ impl Parser {
         lhs
     }
 
+    /// Every expression recursion passes through here, so this is where
+    /// nesting is bounded (see [`MAX_NESTING`]).
     fn parse_prefix(&mut self) -> ExprId {
+        if self.depth == MAX_NESTING {
+            self.error("expression nested too deeply");
+            return self.expr(Expr::Error(self.span()));
+        }
+        self.depth += 1;
+        let e = self.parse_prefix_inner();
+        self.depth -= 1;
+        e
+    }
+
+    fn parse_prefix_inner(&mut self) -> ExprId {
         let span = self.span();
         let Some(k) = self.peek_kind() else {
             self.error("unexpected end of input in expression");
@@ -1242,7 +1263,7 @@ impl Parser {
             }
             K::ConstantEncapsedString => {
                 let t = self.bump().expect("str");
-                Expr::Lit(Lit::Str(strip_quotes(&t.text).into()), Span::at(t.line))
+                Expr::Lit(Lit::Str(strip_quotes(t.text).into()), Span::at(t.line))
             }
             K::DoubleQuote => {
                 self.bump();
@@ -1412,41 +1433,16 @@ impl Parser {
                 self.expect(K::CloseParen, "`)`");
                 return self.parse_postfix(e);
             }
-            K::Bang => {
+            K::Bang | K::Minus | K::Plus | K::Tilde => {
+                let (op, bp) = match k {
+                    K::Bang => (UnOp::Not, 33),
+                    K::Minus => (UnOp::Neg, 37),
+                    K::Plus => (UnOp::Plus, 37),
+                    _ => (UnOp::BitNot, 37),
+                };
                 self.bump();
-                let e = self.parse_expr_bp(33);
-                Expr::Unary {
-                    op: UnOp::Not,
-                    expr: e,
-                    span,
-                }
-            }
-            K::Minus => {
-                self.bump();
-                let e = self.parse_expr_bp(37);
-                Expr::Unary {
-                    op: UnOp::Neg,
-                    expr: e,
-                    span,
-                }
-            }
-            K::Plus => {
-                self.bump();
-                let e = self.parse_expr_bp(37);
-                Expr::Unary {
-                    op: UnOp::Plus,
-                    expr: e,
-                    span,
-                }
-            }
-            K::Tilde => {
-                self.bump();
-                let e = self.parse_expr_bp(37);
-                Expr::Unary {
-                    op: UnOp::BitNot,
-                    expr: e,
-                    span,
-                }
+                let expr = self.parse_expr_bp(bp);
+                Expr::Unary { op, expr, span }
             }
             K::At => {
                 self.bump();
@@ -1673,7 +1669,7 @@ impl Parser {
                         // Keywords are valid member names in PHP (`$q->list`).
                         Some(kk)
                             if php_lexer::keyword_kind(
-                                self.peek().map(|t| t.text.as_str()).unwrap_or(""),
+                                self.peek().map(|t| t.text).unwrap_or(""),
                             ) == Some(kk) =>
                         {
                             Member::Name(self.bump().expect("kw").symbol())
@@ -1796,7 +1792,7 @@ impl Parser {
                                 let it = self.bump().expect("id");
                                 // The lexer may have captured quotes in a
                                 // sloppy `$a['k']` simple-syntax index.
-                                let lit = Expr::Lit(Lit::Str(strip_quotes(&it.text).into()), span);
+                                let lit = Expr::Lit(Lit::Str(strip_quotes(it.text).into()), span);
                                 Some(self.expr(lit))
                             }
                             _ => None,

@@ -1,25 +1,22 @@
 //! A character cursor over source text with line tracking and lookahead.
 
-use std::sync::Arc;
-
-/// Cursor used by the lexer: a byte offset into shared source text.
+/// Cursor used by the lexer: a byte offset into borrowed source text.
 ///
-/// The source sits behind an [`Arc`] so the speculative cursor clones the
-/// lexer takes (cast probing, interpolation scanning) copy two integers
-/// instead of the whole file, and [`Cursor::slice_from`] lets token text
-/// be materialized as one exact-capacity copy of the consumed region
-/// rather than a char-by-char rebuild.
-#[derive(Debug, Clone)]
-pub(crate) struct Cursor {
-    src: Arc<str>,
+/// The cursor is `Copy`, so the speculative probes the lexer takes (cast
+/// probing, interpolation scanning) copy a pointer and two integers, and
+/// [`Cursor::slice_from`] hands out token text as a slice of the source
+/// itself: no token owns a copy of its text.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cursor<'a> {
+    src: &'a str,
     pos: usize,
     line: u32,
 }
 
-impl Cursor {
-    pub(crate) fn new(src: &str) -> Self {
+impl<'a> Cursor<'a> {
+    pub(crate) fn new(src: &'a str) -> Self {
         Cursor {
-            src: Arc::from(src),
+            src,
             pos: 0,
             line: 1,
         }
@@ -37,7 +34,7 @@ impl Cursor {
 
     /// The source text between `start` (an earlier [`Cursor::pos`]) and the
     /// current position.
-    pub(crate) fn slice_from(&self, start: usize) -> &str {
+    pub(crate) fn slice_from(&self, start: usize) -> &'a str {
         &self.src[start..self.pos]
     }
 
@@ -90,24 +87,26 @@ impl Cursor {
         }
     }
 
-    /// Consumes `n` characters, maintaining line counts.
-    pub(crate) fn advance(&mut self, n: usize) {
+    /// Consumes `n` characters, maintaining line counts, and returns them.
+    pub(crate) fn advance(&mut self, n: usize) -> &'a str {
+        let start = self.pos;
         for _ in 0..n {
             if self.bump().is_none() {
                 break;
             }
         }
+        self.slice_from(start)
     }
 
     /// Consumes characters while `pred` holds, returning the consumed text.
-    pub(crate) fn eat_while(&mut self, pred: impl FnMut(char) -> bool) -> String {
+    pub(crate) fn eat_while(&mut self, pred: impl FnMut(char) -> bool) -> &'a str {
         let start = self.pos;
         self.skip_while(pred);
-        self.src[start..self.pos].to_string()
+        self.slice_from(start)
     }
 
-    /// Consumes characters while `pred` holds without materializing text;
-    /// pair with [`Cursor::slice_from`] to read the region. ASCII bytes
+    /// Consumes characters while `pred` holds; pair with
+    /// [`Cursor::slice_from`] to read the region. ASCII bytes
     /// take a decode-free fast path — this runs per character of every
     /// identifier, number, and whitespace run.
     pub(crate) fn skip_while(&mut self, mut pred: impl FnMut(char) -> bool) {

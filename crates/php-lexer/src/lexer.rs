@@ -2,10 +2,11 @@
 //! paper relies on from PHP's `token_get_all`.
 //!
 //! The lexer is *total*: any byte sequence produces a token stream, never an
-//! error (unclassifiable bytes become [`TokenKind::Unknown`]). Concatenating
-//! the `text` of every token reproduces the input exactly; the
-//! `phpsafe` analyzer and both baselines depend on this when mapping findings
-//! back to source lines.
+//! error (unclassifiable bytes become [`TokenKind::Unknown`]). Every token's
+//! `text` is the slice of the input it was lexed from, and the slices tile
+//! the input, so concatenating them reproduces it exactly; the `phpsafe`
+//! analyzer and both baselines depend on this when mapping findings back to
+//! source lines.
 
 use crate::cursor::Cursor;
 use crate::token::{keyword_kind, Token, TokenKind};
@@ -19,7 +20,7 @@ use crate::token::{keyword_kind, Token, TokenKind};
 /// let toks = tokenize("<?php echo $_GET['id']; ?>");
 /// assert!(toks.iter().any(|t| t.kind == TokenKind::Variable && t.text == "$_GET"));
 /// ```
-pub fn tokenize(src: &str) -> Vec<Token> {
+pub fn tokenize(src: &str) -> Vec<Token<'_>> {
     let _span = phpsafe_obs::span!("stage.lex", src);
     let toks = Lexer::new(src).run();
     phpsafe_obs::count("lex.files", 1);
@@ -28,31 +29,32 @@ pub fn tokenize(src: &str) -> Vec<Token> {
 }
 
 /// Lexes source and drops trivia (whitespace/comments), the view parsers use.
-pub fn tokenize_significant(src: &str) -> Vec<Token> {
+pub fn tokenize_significant(src: &str) -> Vec<Token<'_>> {
     let mut toks = tokenize(src);
     toks.retain(|t| !t.kind.is_trivia());
     toks
 }
 
 /// What terminates an interpolated scanning region.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum InterpEnd {
+#[derive(Debug, Clone, Copy)]
+enum InterpEnd<'a> {
     DoubleQuote,
     Backtick,
-    Heredoc(String),
+    /// The (non-empty) terminator label.
+    Heredoc(&'a str),
 }
 
 /// Streaming PHP lexer. Construct with [`Lexer::new`], consume with
 /// [`Lexer::run`].
 #[derive(Debug)]
-pub struct Lexer {
-    cur: Cursor,
-    out: Vec<Token>,
+pub struct Lexer<'a> {
+    cur: Cursor<'a>,
+    out: Vec<Token<'a>>,
 }
 
-impl Lexer {
+impl<'a> Lexer<'a> {
     /// Creates a lexer over `src`.
-    pub fn new(src: &str) -> Self {
+    pub fn new(src: &'a str) -> Self {
         Lexer {
             cur: Cursor::new(src),
             // PHP source averages well under one token per 4 bytes; one
@@ -62,15 +64,15 @@ impl Lexer {
     }
 
     /// Runs the lexer to completion, returning the token stream.
-    pub fn run(mut self) -> Vec<Token> {
+    pub fn run(mut self) -> Vec<Token<'a>> {
         while !self.cur.is_eof() {
             self.lex_html_until_open_tag();
             // Inside PHP until a close tag flips us back to HTML mode.
             while !self.cur.is_eof() {
                 if self.cur.starts_with("?>", false) {
                     let line = self.cur.line();
-                    self.cur.advance(2);
-                    self.push(TokenKind::CloseTag, "?>", line);
+                    let tag = self.cur.advance(2);
+                    self.push(TokenKind::CloseTag, tag, line);
                     break;
                 }
                 self.lex_php_token();
@@ -79,7 +81,7 @@ impl Lexer {
         self.out
     }
 
-    fn push(&mut self, kind: TokenKind, text: impl Into<String>, line: u32) {
+    fn push(&mut self, kind: TokenKind, text: &'a str, line: u32) {
         self.out.push(Token::new(kind, text, line));
     }
 
@@ -93,26 +95,25 @@ impl Lexer {
             }
             if self.cur.starts_with("<?", false) {
                 if self.cur.pos() > start {
-                    let html = self.cur.slice_from(start).to_string();
+                    let html = self.cur.slice_from(start);
                     self.push(TokenKind::InlineHtml, html, line);
                 }
                 let tag_line = self.cur.line();
-                if self.cur.starts_with("<?php", true) {
-                    self.cur.advance(5);
-                    self.push(TokenKind::OpenTag, "<?php", tag_line);
+                let (kind, len) = if self.cur.starts_with("<?php", true) {
+                    (TokenKind::OpenTag, 5)
                 } else if self.cur.starts_with("<?=", false) {
-                    self.cur.advance(3);
-                    self.push(TokenKind::OpenTagWithEcho, "<?=", tag_line);
+                    (TokenKind::OpenTagWithEcho, 3)
                 } else {
-                    self.cur.advance(2);
-                    self.push(TokenKind::OpenTag, "<?", tag_line);
-                }
+                    (TokenKind::OpenTag, 2)
+                };
+                let tag = self.cur.advance(len);
+                self.push(kind, tag, tag_line);
                 return;
             }
             self.cur.bump();
         }
         if self.cur.pos() > start {
-            let html = self.cur.slice_from(start).to_string();
+            let html = self.cur.slice_from(start);
             self.push(TokenKind::InlineHtml, html, line);
         }
     }
@@ -155,11 +156,11 @@ impl Lexer {
                 let start = self.cur.pos();
                 self.cur.bump();
                 self.cur.skip_while(is_ident_continue);
-                let name = self.cur.slice_from(start).to_string();
+                let name = self.cur.slice_from(start);
                 self.push(TokenKind::Variable, name, line);
             } else {
-                self.cur.bump();
-                self.push(TokenKind::Dollar, "$", line);
+                let dollar = self.cur.advance(1);
+                self.push(TokenKind::Dollar, dollar, line);
             }
             return;
         }
@@ -175,7 +176,7 @@ impl Lexer {
         // Identifiers / keywords / magic constants
         if is_ident_start(c) {
             let word = self.cur.eat_while(is_ident_continue);
-            let kind = keyword_kind(&word).unwrap_or(TokenKind::Identifier);
+            let kind = keyword_kind(word).unwrap_or(TokenKind::Identifier);
             self.push(kind, word, line);
             return;
         }
@@ -190,29 +191,25 @@ impl Lexer {
             return;
         }
         if c == '`' {
-            self.cur.bump();
-            self.push(TokenKind::Backtick, "`", line);
+            let tick = self.cur.advance(1);
+            self.push(TokenKind::Backtick, tick, line);
             self.lex_interpolated(InterpEnd::Backtick);
             return;
         }
-        if self.cur.starts_with("<<<", false) {
-            self.lex_heredoc(line);
+        if self.cur.starts_with("<<<", false) && self.lex_heredoc(line) {
             return;
         }
 
         // Casts: "(" ws* keyword ws* ")"
-        if c == '(' {
-            if let Some((kind, text)) = self.try_cast() {
-                self.push(kind, text, line);
-                return;
-            }
+        if c == '(' && self.lex_cast(line) {
+            return;
         }
 
         // Operators & punctuation
         self.lex_operator(line);
     }
 
-    fn block_comment(&mut self) -> String {
+    fn block_comment(&mut self) -> &'a str {
         let start = self.cur.pos();
         self.cur.advance(2); // "/*"
         loop {
@@ -225,10 +222,10 @@ impl Lexer {
             }
             self.cur.bump();
         }
-        self.cur.slice_from(start).to_string()
+        self.cur.slice_from(start)
     }
 
-    fn line_comment(&mut self) -> String {
+    fn line_comment(&mut self) -> &'a str {
         let start = self.cur.pos();
         loop {
             match self.cur.peek() {
@@ -241,7 +238,7 @@ impl Lexer {
                 }
             }
         }
-        self.cur.slice_from(start).to_string()
+        self.cur.slice_from(start)
     }
 
     fn lex_number(&mut self, line: u32) {
@@ -249,14 +246,14 @@ impl Lexer {
         if self.cur.starts_with("0x", true) || self.cur.starts_with("0X", false) {
             self.cur.advance(2);
             self.cur.skip_while(|c| c.is_ascii_hexdigit() || c == '_');
-            let text = self.cur.slice_from(start).to_string();
+            let text = self.cur.slice_from(start);
             self.push(TokenKind::LNumber, text, line);
             return;
         }
         if self.cur.starts_with("0b", true) {
             self.cur.advance(2);
             self.cur.skip_while(|c| c == '0' || c == '1' || c == '_');
-            let text = self.cur.slice_from(start).to_string();
+            let text = self.cur.slice_from(start);
             self.push(TokenKind::LNumber, text, line);
             return;
         }
@@ -290,7 +287,7 @@ impl Lexer {
         } else {
             TokenKind::LNumber
         };
-        let text = self.cur.slice_from(start).to_string();
+        let text = self.cur.slice_from(start);
         self.push(kind, text, line);
     }
 
@@ -313,7 +310,7 @@ impl Lexer {
                 }
             }
         }
-        let text = self.cur.slice_from(start).to_string();
+        let text = self.cur.slice_from(start);
         self.push(TokenKind::ConstantEncapsedString, text, line);
     }
 
@@ -321,11 +318,10 @@ impl Lexer {
     /// `T_CONSTANT_ENCAPSED_STRING` when free of interpolation, otherwise as
     /// `"` + interpolation parts + `"`, exactly as PHP does.
     fn lex_double_quoted(&mut self, line: u32) {
-        // Scan ahead (on a cheap cursor clone — the source is shared) to
-        // decide whether the string interpolates, so simple strings stay
-        // one token.
+        // Scan ahead on a copy of the cursor to decide whether the string
+        // interpolates, so simple strings stay one token.
         let start = self.cur.pos();
-        let mut probe = self.cur.clone();
+        let mut probe = self.cur;
         probe.bump(); // opening quote
         let mut interpolates = false;
         let mut closed = false;
@@ -361,7 +357,7 @@ impl Lexer {
         if !interpolates {
             // Commit the probe's progress.
             self.cur = probe;
-            let raw = self.cur.slice_from(start).to_string();
+            let raw = self.cur.slice_from(start);
             let kind = if closed || !raw.is_empty() {
                 TokenKind::ConstantEncapsedString
             } else {
@@ -370,12 +366,15 @@ impl Lexer {
             self.push(kind, raw, line);
             return;
         }
-        self.cur.bump(); // opening quote
-        self.push(TokenKind::DoubleQuote, "\"", line);
+        let quote = self.cur.advance(1);
+        self.push(TokenKind::DoubleQuote, quote, line);
         self.lex_interpolated(InterpEnd::DoubleQuote);
     }
 
-    fn lex_heredoc(&mut self, line: u32) {
+    /// Lexes a heredoc/nowdoc starting at `<<<`. Returns false, consuming
+    /// nothing, when no label follows: PHP then reads `<<` and `<`.
+    fn lex_heredoc(&mut self, line: u32) -> bool {
+        let snapshot = self.cur;
         let start = self.cur.pos();
         self.cur.advance(3); // "<<<"
         self.cur.skip_while(|c| c == ' ' || c == '\t');
@@ -387,6 +386,10 @@ impl Lexer {
             quoted = true;
         }
         let label = self.cur.eat_while(is_ident_continue);
+        if label.is_empty() {
+            self.cur = snapshot;
+            return false;
+        }
         if nowdoc {
             self.cur.eat('\'');
         }
@@ -399,31 +402,33 @@ impl Lexer {
         if self.cur.peek() == Some('\n') {
             self.cur.bump();
         }
-        let text = self.cur.slice_from(start).to_string();
+        let text = self.cur.slice_from(start);
         self.push(TokenKind::StartHeredoc, text, line);
-        if nowdoc {
-            // Nowdoc: raw until terminator, no interpolation.
-            let body_start = self.cur.pos();
-            let body_line = self.cur.line();
-            loop {
-                if self.cur.is_eof() {
-                    break;
-                }
-                if self.at_heredoc_end(&label) {
-                    break;
-                }
-                self.cur.bump();
-            }
-            if self.cur.pos() > body_start {
-                let body = self.cur.slice_from(body_start).to_string();
-                self.push(TokenKind::EncapsedAndWhitespace, body, body_line);
-            }
-            let end_line = self.cur.line();
-            self.cur.advance(label.chars().count());
-            self.push(TokenKind::EndHeredoc, label.clone(), end_line);
-        } else {
+        if !nowdoc {
             self.lex_interpolated(InterpEnd::Heredoc(label));
+            return true;
         }
+        // Nowdoc: raw until terminator, no interpolation.
+        let body_start = self.cur.pos();
+        let body_line = self.cur.line();
+        let mut closed = false;
+        while !self.cur.is_eof() {
+            if self.at_heredoc_end(label) {
+                closed = true;
+                break;
+            }
+            self.cur.bump();
+        }
+        if self.cur.pos() > body_start {
+            let body = self.cur.slice_from(body_start);
+            self.push(TokenKind::EncapsedAndWhitespace, body, body_line);
+        }
+        if closed {
+            let end_line = self.cur.line();
+            let end = self.cur.advance(label.chars().count());
+            self.push(TokenKind::EndHeredoc, end, end_line);
+        }
+        true
     }
 
     /// True when the cursor sits at the start of a line containing exactly
@@ -444,7 +449,7 @@ impl Lexer {
     /// Scans interpolated content (double-quoted string, backtick, heredoc),
     /// emitting `T_ENCAPSED_AND_WHITESPACE` runs, simple `$var` accesses and
     /// `{$ ... }` complex expressions, until the terminator.
-    fn lex_interpolated(&mut self, end: InterpEnd) {
+    fn lex_interpolated(&mut self, end: InterpEnd<'a>) {
         let mut run_start = self.cur.pos();
         let mut run_line = self.cur.line();
         let mut at_line_start = matches!(end, InterpEnd::Heredoc(_));
@@ -453,38 +458,28 @@ impl Lexer {
                 break;
             }
             // Terminator?
-            match &end {
-                InterpEnd::DoubleQuote => {
-                    if self.cur.peek() == Some('"') {
-                        self.flush_encapsed_run(run_start, run_line);
-                        let line = self.cur.line();
-                        self.cur.bump();
-                        self.push(TokenKind::DoubleQuote, "\"", line);
-                        return;
-                    }
+            let terminator = match end {
+                InterpEnd::DoubleQuote if self.cur.peek() == Some('"') => {
+                    Some((TokenKind::DoubleQuote, 1))
                 }
-                InterpEnd::Backtick => {
-                    if self.cur.peek() == Some('`') {
-                        self.flush_encapsed_run(run_start, run_line);
-                        let line = self.cur.line();
-                        self.cur.bump();
-                        self.push(TokenKind::Backtick, "`", line);
-                        return;
-                    }
+                InterpEnd::Backtick if self.cur.peek() == Some('`') => {
+                    Some((TokenKind::Backtick, 1))
                 }
-                InterpEnd::Heredoc(label) => {
-                    if at_line_start && self.at_heredoc_end(label) {
-                        self.flush_encapsed_run(run_start, run_line);
-                        let line = self.cur.line();
-                        self.cur.advance(label.chars().count());
-                        self.push(TokenKind::EndHeredoc, label.clone(), line);
-                        return;
-                    }
+                InterpEnd::Heredoc(label) if at_line_start && self.at_heredoc_end(label) => {
+                    Some((TokenKind::EndHeredoc, label.chars().count()))
                 }
+                _ => None,
+            };
+            if let Some((kind, len)) = terminator {
+                self.flush_encapsed_run(run_start, run_line);
+                let line = self.cur.line();
+                let text = self.cur.advance(len);
+                self.push(kind, text, line);
+                return;
             }
             at_line_start = false;
             match self.cur.peek() {
-                Some('\\') if end != InterpEnd::Heredoc(String::new()) => {
+                Some('\\') => {
                     // Escapes stay verbatim inside the encapsed run.
                     self.cur.bump();
                     if let Some(e) = self.cur.bump() {
@@ -499,15 +494,15 @@ impl Lexer {
                     let var_start = self.cur.pos();
                     self.cur.bump(); // $
                     self.cur.skip_while(is_ident_continue);
-                    let name = self.cur.slice_from(var_start).to_string();
+                    let name = self.cur.slice_from(var_start);
                     self.push(TokenKind::Variable, name, line);
                     // Simple-syntax suffixes: ->prop or [index]
                     if self.cur.starts_with("->", false)
                         && matches!(self.cur.peek_at(2), Some(n) if is_ident_start(n))
                     {
                         let line = self.cur.line();
-                        self.cur.advance(2);
-                        self.push(TokenKind::ObjectOperator, "->", line);
+                        let arrow = self.cur.advance(2);
+                        self.push(TokenKind::ObjectOperator, arrow, line);
                         let prop = self.cur.eat_while(is_ident_continue);
                         self.push(TokenKind::Identifier, prop, line);
                     } else if self.cur.peek() == Some('[')
@@ -517,14 +512,14 @@ impl Lexer {
                         )
                     {
                         let line = self.cur.line();
-                        self.cur.bump();
-                        self.push(TokenKind::OpenBracket, "[", line);
+                        let bracket = self.cur.advance(1);
+                        self.push(TokenKind::OpenBracket, bracket, line);
                         // index: $var | number | bareword
                         if self.cur.peek() == Some('$') {
                             let idx_start = self.cur.pos();
                             self.cur.bump();
                             self.cur.skip_while(is_ident_continue);
-                            let iname = self.cur.slice_from(idx_start).to_string();
+                            let iname = self.cur.slice_from(idx_start);
                             self.push(TokenKind::Variable, iname, line);
                         } else if matches!(self.cur.peek(), Some(d) if d.is_ascii_digit()) {
                             let num = self.cur.eat_while(|c| c.is_ascii_digit());
@@ -533,8 +528,9 @@ impl Lexer {
                             let word = self.cur.eat_while(|c| is_ident_continue(c) || c == '\'');
                             self.push(TokenKind::Identifier, word, line);
                         }
-                        if self.cur.eat(']') {
-                            self.push(TokenKind::CloseBracket, "]", line);
+                        if self.cur.peek() == Some(']') {
+                            let bracket = self.cur.advance(1);
+                            self.push(TokenKind::CloseBracket, bracket, line);
                         }
                     }
                     run_start = self.cur.pos();
@@ -543,8 +539,8 @@ impl Lexer {
                 Some('{') if self.cur.peek_at(1) == Some('$') => {
                     self.flush_encapsed_run(run_start, run_line);
                     let line = self.cur.line();
-                    self.cur.bump();
-                    self.push(TokenKind::CurlyOpen, "{", line);
+                    let curly = self.cur.advance(1);
+                    self.push(TokenKind::CurlyOpen, curly, line);
                     self.lex_php_until_matching_brace();
                     run_start = self.cur.pos();
                     run_line = self.cur.line();
@@ -552,8 +548,8 @@ impl Lexer {
                 Some('$') if self.cur.peek_at(1) == Some('{') => {
                     self.flush_encapsed_run(run_start, run_line);
                     let line = self.cur.line();
-                    self.cur.advance(2);
-                    self.push(TokenKind::DollarOpenCurlyBraces, "${", line);
+                    let open = self.cur.advance(2);
+                    self.push(TokenKind::DollarOpenCurlyBraces, open, line);
                     self.lex_php_until_matching_brace();
                     run_start = self.cur.pos();
                     run_line = self.cur.line();
@@ -574,7 +570,7 @@ impl Lexer {
     /// `run_start` to the cursor), if non-empty.
     fn flush_encapsed_run(&mut self, run_start: usize, run_line: u32) {
         if self.cur.pos() > run_start {
-            let run = self.cur.slice_from(run_start).to_string();
+            let run = self.cur.slice_from(run_start);
             self.push(TokenKind::EncapsedAndWhitespace, run, run_line);
         }
     }
@@ -589,8 +585,8 @@ impl Lexer {
             } else if self.cur.peek() == Some('}') {
                 depth -= 1;
                 let line = self.cur.line();
-                self.cur.bump();
-                self.push(TokenKind::CloseBrace, "}", line);
+                let brace = self.cur.advance(1);
+                self.push(TokenKind::CloseBrace, brace, line);
                 if depth == 0 {
                     return;
                 }
@@ -600,43 +596,25 @@ impl Lexer {
         }
     }
 
-    /// Attempts to lex a cast like `(int)`; restores the cursor on failure.
-    fn try_cast(&mut self) -> Option<(TokenKind, String)> {
-        let snapshot = self.cur.clone();
-        let start = self.cur.pos();
-        self.cur.bump(); // (
-        self.cur.skip_while(|c| c == ' ' || c == '\t');
-        let word_start = self.cur.pos();
-        self.cur.skip_while(|c| c.is_ascii_alphabetic());
-        let word = self.cur.slice_from(word_start);
-        let kind = if word.eq_ignore_ascii_case("int") || word.eq_ignore_ascii_case("integer") {
-            TokenKind::IntCast
-        } else if word.eq_ignore_ascii_case("float")
-            || word.eq_ignore_ascii_case("double")
-            || word.eq_ignore_ascii_case("real")
-        {
-            TokenKind::DoubleCast
-        } else if word.eq_ignore_ascii_case("string") || word.eq_ignore_ascii_case("binary") {
-            TokenKind::StringCast
-        } else if word.eq_ignore_ascii_case("array") {
-            TokenKind::ArrayCast
-        } else if word.eq_ignore_ascii_case("object") {
-            TokenKind::ObjectCast
-        } else if word.eq_ignore_ascii_case("bool") || word.eq_ignore_ascii_case("boolean") {
-            TokenKind::BoolCast
-        } else if word.eq_ignore_ascii_case("unset") {
-            TokenKind::UnsetCast
-        } else {
-            self.cur = snapshot;
-            return None;
+    /// Lexes a cast like `(int)`. Returns false, consuming nothing, when
+    /// the parenthesis does not open a cast.
+    fn lex_cast(&mut self, line: u32) -> bool {
+        let mut probe = self.cur;
+        probe.bump(); // (
+        probe.skip_while(|c| c == ' ' || c == '\t');
+        let word = probe.eat_while(|c| c.is_ascii_alphabetic());
+        let Some(&(_, kind)) = CASTS.iter().find(|(w, _)| word.eq_ignore_ascii_case(w)) else {
+            return false;
         };
-        self.cur.skip_while(|c| c == ' ' || c == '\t');
-        if self.cur.eat(')') {
-            Some((kind, self.cur.slice_from(start).to_string()))
-        } else {
-            self.cur = snapshot;
-            None
+        probe.skip_while(|c| c == ' ' || c == '\t');
+        if !probe.eat(')') {
+            return false;
         }
+        let start = self.cur.pos();
+        self.cur = probe;
+        let text = self.cur.slice_from(start);
+        self.push(kind, text, line);
+        true
     }
 
     fn lex_operator(&mut self, line: u32) {
@@ -668,13 +646,13 @@ impl Lexer {
         };
         for (s, k) in multi {
             if self.cur.starts_with(s, false) {
-                self.cur.advance(s.len());
-                self.push(*k, *s, line);
+                let text = self.cur.advance(s.len());
+                self.push(*k, text, line);
                 return;
             }
         }
-        let c = self.cur.bump().expect("operator char");
-        let kind = match c {
+        let text = self.cur.advance(1);
+        let kind = match text.chars().next().expect("operator char") {
             ';' => Semicolon,
             ',' => Comma,
             '(' => OpenParen,
@@ -704,9 +682,25 @@ impl Lexer {
             '\\' => Backslash,
             _ => Unknown,
         };
-        self.push(kind, c.to_string(), line);
+        self.push(kind, text, line);
     }
 }
+
+/// Cast keywords (ASCII case-insensitive) and the cast each spells.
+const CASTS: [(&str, TokenKind); 12] = [
+    ("int", TokenKind::IntCast),
+    ("integer", TokenKind::IntCast),
+    ("float", TokenKind::DoubleCast),
+    ("double", TokenKind::DoubleCast),
+    ("real", TokenKind::DoubleCast),
+    ("string", TokenKind::StringCast),
+    ("binary", TokenKind::StringCast),
+    ("array", TokenKind::ArrayCast),
+    ("object", TokenKind::ObjectCast),
+    ("bool", TokenKind::BoolCast),
+    ("boolean", TokenKind::BoolCast),
+    ("unset", TokenKind::UnsetCast),
+];
 
 fn is_ident_start(c: char) -> bool {
     c.is_ascii_alphabetic() || c == '_' || (c as u32) >= 0x80
@@ -728,7 +722,7 @@ mod tests {
             .collect()
     }
 
-    fn texts(src: &str) -> Vec<String> {
+    fn texts(src: &str) -> Vec<&str> {
         tokenize_significant(src)
             .into_iter()
             .map(|t| t.text)
@@ -736,7 +730,7 @@ mod tests {
     }
 
     fn roundtrip(src: &str) {
-        let joined: String = tokenize(src).iter().map(|t| t.text.as_str()).collect();
+        let joined: String = tokenize(src).iter().map(|t| t.text).collect();
         assert_eq!(joined, src, "token texts must reconstruct the source");
     }
 
@@ -942,6 +936,9 @@ mod tests {
         let k = kinds("<?php $a === $b; $a !== $b;");
         assert!(k.contains(&K::Identical));
         assert!(k.contains(&K::NotIdentical));
+        // `<<<` opens a heredoc only when a label follows.
+        let k = kinds("<?php <<<\n;");
+        assert_eq!(k, vec![K::OpenTag, K::Sl, K::Lt, K::Semicolon]);
     }
 
     #[test]
@@ -964,6 +961,7 @@ mod tests {
         // Must not panic and must round-trip.
         roundtrip("<?php $x = 'never closed");
         roundtrip("<?php $x = \"never closed $y");
+        roundtrip("<?php $x = <<<'EOT'\nnever closed");
     }
 
     #[test]
@@ -979,6 +977,7 @@ mod tests {
         let t = tokenize("<? echo 1;");
         assert_eq!(t[0].kind, K::OpenTag);
         assert_eq!(t[0].text, "<?");
+        assert_eq!(tokenize("<?PHP echo 1;")[0].text, "<?PHP");
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! * **Totality** — every input produces a token stream; malformed code
 //!   degrades to [`TokenKind::Unknown`] / truncated strings instead of
 //!   failing, because a plugin analyzer must survive real-world code.
-//! * **Round-trip fidelity** — concatenating [`Token::text`] reproduces the
-//!   source byte-for-byte, so findings map exactly back to source.
+//! * **Round-trip fidelity** — [`Token::text`] is the slice of the source
+//!   a token was lexed from (tokens are `Copy`; lexing allocates nothing
+//!   per token), so the texts concatenate to the source by construction.
 //! * **PHP-shaped output** — token kinds carry their PHP `T_*` names
 //!   ([`TokenKind::php_name`]), including interpolation tokens
 //!   (`T_ENCAPSED_AND_WHITESPACE`, `T_CURLY_OPEN`, …) and OOP operators

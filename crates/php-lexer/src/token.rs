@@ -445,13 +445,14 @@ impl fmt::Display for TokenKind {
 ///
 /// Mirrors the `[id, text, line]` triples of PHP's `token_get_all` (the paper,
 /// §III.B: *"the array has the token identifier, the value of the token and
-/// the line number"*).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Token {
+/// the line number"*). The text borrows the lexed source, so a token is
+/// `Copy` and lexing allocates nothing per token.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'src> {
     /// Token classification.
     pub kind: TokenKind,
-    /// Verbatim text as it appeared in the source.
-    pub text: String,
+    /// Verbatim text: the slice of the source the token was lexed from.
+    pub text: &'src str,
     /// Interned name for identifier-like tokens ([`TokenKind::Variable`],
     /// [`TokenKind::Identifier`]); [`Symbol::EMPTY`] for everything else.
     /// Interning here means the parser and interpreter never re-hash the
@@ -461,12 +462,11 @@ pub struct Token {
     pub line: u32,
 }
 
-impl Token {
+impl<'src> Token<'src> {
     /// Creates a token, interning identifier/variable names.
-    pub fn new(kind: TokenKind, text: impl Into<String>, line: u32) -> Self {
-        let text = text.into();
+    pub fn new(kind: TokenKind, text: &'src str, line: u32) -> Self {
         let sym = match kind {
-            TokenKind::Variable | TokenKind::Identifier => Symbol::intern(&text),
+            TokenKind::Variable | TokenKind::Identifier => Symbol::intern(text),
             _ => Symbol::EMPTY,
         };
         Token {
@@ -481,14 +481,14 @@ impl Token {
     /// interned on demand (keywords used as member names, magic constants).
     pub fn symbol(&self) -> Symbol {
         if self.sym.is_empty() && !self.text.is_empty() {
-            Symbol::intern(&self.text)
+            Symbol::intern(self.text)
         } else {
             self.sym
         }
     }
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,

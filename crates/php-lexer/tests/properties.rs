@@ -9,6 +9,8 @@ use proptest::prelude::*;
 fn php_soup() -> impl Strategy<Value = String> {
     let fragment = prop_oneof![
         Just("<?php ".to_string()),
+        Just("<?PHP ".to_string()),
+        Just("<?Php ".to_string()),
         Just("?>".to_string()),
         Just("<?= ".to_string()),
         Just("$x".to_string()),
@@ -28,6 +30,8 @@ fn php_soup() -> impl Strategy<Value = String> {
         Just("(int)".to_string()),
         Just("===".to_string()),
         Just("<<<EOT\nbody\nEOT;\n".to_string()),
+        Just("<<<'EOT'\nbody".to_string()),
+        Just("<<<\n".to_string()),
         Just("<html><b>x</b>".to_string()),
         Just(";".to_string()),
         Just("\n".to_string()),
@@ -44,7 +48,7 @@ proptest! {
     #[test]
     fn lexing_is_total_and_roundtrips(src in php_soup()) {
         let toks = tokenize(&src);
-        let rebuilt: String = toks.iter().map(|t| t.text.as_str()).collect();
+        let rebuilt: String = toks.iter().map(|t| t.text).collect();
         prop_assert_eq!(rebuilt, src);
     }
 
@@ -52,8 +56,26 @@ proptest! {
     #[test]
     fn lexing_is_total_on_arbitrary_unicode(src in "\\PC{0,64}") {
         let toks = tokenize(&src);
-        let rebuilt: String = toks.iter().map(|t| t.text.as_str()).collect();
+        let rebuilt: String = toks.iter().map(|t| t.text).collect();
         prop_assert_eq!(rebuilt, src);
+    }
+
+    /// Each token's text is the slice of `src` at the running byte offset
+    /// (pointer equality), so no token can carry text the source lacks.
+    #[test]
+    fn token_text_is_the_source_slice_at_its_offset(src in php_soup()) {
+        let mut offset = 0;
+        for t in tokenize(&src) {
+            prop_assert_eq!(
+                t.text.as_ptr(),
+                src.as_ptr().wrapping_add(offset),
+                "{:?} does not start at byte {}",
+                t,
+                offset
+            );
+            offset += t.text.len();
+        }
+        prop_assert_eq!(offset, src.len());
     }
 
     /// No token has empty text (C-DEBUG-NONEMPTY analogue for tokens), and
