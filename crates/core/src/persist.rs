@@ -232,6 +232,19 @@ mod tests {
     }
 
     #[test]
+    fn byte_flips_never_panic() {
+        let blob = encode_summaries(&sample());
+        for at in 0..blob.len() {
+            for flip in [0xffu8, 0x01, 0x80] {
+                let mut bytes = blob.clone();
+                bytes[at] ^= flip;
+                // Rejected, or decoded into some other well-formed cache.
+                let _ = decode_summaries(&bytes);
+            }
+        }
+    }
+
+    #[test]
     fn garbage_fails() {
         assert!(decode_summaries(b"").is_err());
         assert!(decode_summaries(b"\xff\xff\xff\xff").is_err());

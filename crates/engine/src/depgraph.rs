@@ -287,4 +287,17 @@ mod tests {
             assert!(DepGraph::decode(&good[..cut]).is_err(), "cut at {cut}");
         }
     }
+
+    #[test]
+    fn byte_flips_never_panic() {
+        let good = diamond().encode();
+        for at in 0..good.len() {
+            for flip in [0xffu8, 0x01, 0x80] {
+                let mut bytes = good.clone();
+                bytes[at] ^= flip;
+                // Rejected, or decoded into some other well-formed graph.
+                let _ = DepGraph::decode(&bytes);
+            }
+        }
+    }
 }

@@ -4,8 +4,8 @@
 //! contents, the evaluation tables must not move after an
 //! invalidate-heavy daemon session, and `--explain` chains must match
 //! between a cold analyzer and one warmed through an invalidate cycle.
-//! The efficiency claim is asserted too: a single-file edit on the
-//! 35-plugin corpus re-parses fewer than 5% of the corpus's files.
+//! The efficiency claim is asserted too: each of repeated single-file
+//! edits on the 35-plugin corpus re-parses fewer than 5% of its files.
 
 use phpsafe::{load_project, AnalysisServer, EngineCaches, PhpSafe, PluginProject, SourceFile};
 use phpsafe_corpus::{Corpus, Version};
@@ -160,56 +160,84 @@ fn single_file_edit_invalidates_under_five_percent_and_stays_byte_identical() {
     let victim_project = load_project(victim).unwrap();
     let edited_rel = victim_project.files()[0].path.clone();
     let edited_path = victim.join(&edited_rel);
-    let mut content = std::fs::read_to_string(&edited_path).unwrap();
-    content.push_str("\n// touched by incremental test\n");
-    std::fs::write(&edited_path, &content).unwrap();
+    let pristine = std::fs::read_to_string(&edited_path).unwrap();
 
-    let (response, _) = daemon.handle_line(&invalidate_line(&[edited_path]));
-    let v = parse(&response).unwrap();
-    assert_eq!(v.get("ok"), Some(&Json::Bool(true)), "got: {response}");
-    let projects = v
-        .get("result")
-        .and_then(|r| r.get("projects"))
-        .and_then(Json::as_arr)
+    // Repeated edits of the same file: each cycle must invalidate, re-warm
+    // and answer exactly like the first.
+    for cycle in 0..3 {
+        std::fs::write(
+            &edited_path,
+            format!("{pristine}\n// touched by incremental test, edit {cycle}\n"),
+        )
         .unwrap();
-    assert_eq!(projects.len(), 1, "one root affected: {response}");
-    let item = &projects[0];
-    let num = |k: &str| item.get(k).and_then(Json::as_num).unwrap() as usize;
-    assert_eq!(num("dirty"), 1, "exactly one file changed: {response}");
-    assert_eq!(item.get("reanalyzed"), Some(&Json::Bool(true)));
-    let affected = num("affected");
-    let reparsed = num("reparsed");
-    assert!(affected >= 1, "the edited file is always affected");
-    // The milestone: a one-file edit touches < 5% of the corpus's files —
-    // both by the graph's affected set and by the *measured* re-parses.
-    assert!(
-        affected * 20 < total_files,
-        "affected {affected} files of {total_files} — not incremental"
-    );
-    assert!(
-        reparsed * 20 < total_files,
-        "re-parsed {reparsed} files of {total_files} — not incremental"
-    );
 
-    // The invalidate re-warm already stored the new outcome: the next
-    // analyze is a pure cache hit and byte-identical to a cold batch run
-    // over the edited tree.
-    let (warm, _) = daemon.handle_line(&analyze_line(&[victim]));
-    assert!(fully_cached(&warm), "invalidate must pre-warm: {warm}");
-    let batch = PhpSafe::new()
-        .analyze(&load_project(victim).unwrap())
-        .to_json()
-        .unwrap();
-    assert_eq!(reports_of(&warm)[0], batch, "warm reply diverged");
+        let (response, _) =
+            daemon.handle_line(&invalidate_line(std::slice::from_ref(&edited_path)));
+        let v = parse(&response).unwrap();
+        assert_eq!(v.get("ok"), Some(&Json::Bool(true)), "got: {response}");
+        let projects = v
+            .get("result")
+            .and_then(|r| r.get("projects"))
+            .and_then(Json::as_arr)
+            .unwrap();
+        assert_eq!(projects.len(), 1, "one root affected: {response}");
+        let item = &projects[0];
+        let num = |k: &str| item.get(k).and_then(Json::as_num).unwrap() as usize;
+        assert_eq!(
+            num("dirty"),
+            1,
+            "edit {cycle}: one file changed: {response}"
+        );
+        assert_eq!(
+            item.get("reanalyzed"),
+            Some(&Json::Bool(true)),
+            "edit {cycle}: {response}"
+        );
+        let affected = num("affected");
+        let reparsed = num("reparsed");
+        assert!(affected >= 1, "the edited file is always affected");
+        // The milestone: a one-file edit touches < 5% of the corpus's
+        // files — both by the graph's affected set and by the *measured*
+        // re-parses.
+        assert!(
+            affected * 20 < total_files,
+            "edit {cycle}: affected {affected} files of {total_files} — not incremental"
+        );
+        assert!(
+            reparsed * 20 < total_files,
+            "edit {cycle}: re-parsed {reparsed} files of {total_files} — not incremental"
+        );
 
-    // Untouched plugins still answer from cache, bytes unchanged.
-    for (di, dir) in plugin_dirs.iter().enumerate().take(3) {
-        if di == victim_index {
-            continue;
+        // The invalidate re-warm already stored the new outcome: the next
+        // analyze is a pure cache hit and byte-identical to a cold batch
+        // run over the edited tree.
+        let (warm, _) = daemon.handle_line(&analyze_line(&[victim]));
+        assert!(
+            fully_cached(&warm),
+            "edit {cycle}: invalidate must pre-warm: {warm}"
+        );
+        let batch = PhpSafe::new()
+            .analyze(&load_project(victim).unwrap())
+            .to_json()
+            .unwrap();
+        assert_eq!(
+            reports_of(&warm)[0],
+            batch,
+            "edit {cycle}: warm reply diverged"
+        );
+
+        // Untouched plugins still answer from cache, bytes unchanged.
+        for (di, dir) in plugin_dirs.iter().enumerate().take(3) {
+            if di == victim_index {
+                continue;
+            }
+            let (response, _) = daemon.handle_line(&analyze_line(&[dir]));
+            assert!(
+                fully_cached(&response),
+                "edit {cycle}: unrelated plugin lost its cache"
+            );
+            assert_eq!(reports_of(&response), cold[di]);
         }
-        let (response, _) = daemon.handle_line(&analyze_line(&[dir]));
-        assert!(fully_cached(&response), "unrelated plugin lost its cache");
-        assert_eq!(reports_of(&response), cold[di]);
     }
     daemon.shutdown();
     daemon.join();

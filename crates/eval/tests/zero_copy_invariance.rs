@@ -7,7 +7,7 @@
 
 use phpsafe::caching::{AST_FINGERPRINT, AST_NAMESPACE};
 use phpsafe::{EngineCaches, PhpSafe, PluginProject, SourceFile};
-use phpsafe_corpus::Corpus;
+use phpsafe_corpus::{Corpus, Version};
 use phpsafe_engine::{ContentKey, DiskCache};
 use phpsafe_eval::{tables, Evaluation, RecallMode};
 use std::path::PathBuf;
@@ -210,8 +210,19 @@ fn outcomes_identical_across_load_paths() {
         "--explain chains diverged between cold parse and borrowed load"
     );
 
-    // --- corpus artifacts across schedules and load paths ---
+    // --- ZAST round trip on every real corpus file, not just the probe ---
     let corpus = Corpus::generate();
+    for plugin in corpus.plugins() {
+        for f in plugin.project(Version::V2014).files() {
+            let parsed = php_ast::parse(&f.content);
+            let zast = Arc::from(php_ast::zast::encode_file(&parsed));
+            let view = php_ast::zast::ParsedFileRef::new(zast)
+                .unwrap_or_else(|e| panic!("{}: ZAST must validate: {e:?}", f.path));
+            assert_eq!(view.thaw(), parsed, "{}: ZAST thaw != parse", f.path);
+        }
+    }
+
+    // --- corpus artifacts across schedules and load paths ---
     let serial = artifacts(&Evaluation::run_with(corpus.clone()));
     let dir4 = temp_dir("tables");
     let open = || Arc::new(DiskCache::open(&dir4).unwrap());

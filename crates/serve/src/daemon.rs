@@ -1082,19 +1082,54 @@ mod tests {
             let daemon = Arc::clone(&daemon);
             std::thread::spawn(move || run_tcp(&daemon, listener))
         };
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = io::BufReader::new(stream);
-        let mut ask = |req: &str| {
-            writeln!(writer, "{req}").unwrap();
-            let mut response = String::new();
-            reader.read_line(&mut response).unwrap();
-            parse(response.trim()).unwrap()
+        let connect = || {
+            let stream = TcpStream::connect(addr).unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            let mut reader = io::BufReader::new(stream);
+            move |req: &str| {
+                writeln!(writer, "{req}").unwrap();
+                let mut response = String::new();
+                reader.read_line(&mut response).unwrap();
+                parse(response.trim()).unwrap()
+            }
         };
-        let v = ask(r#"{"cmd":"analyze","paths":["x"],"id":"t"}"#);
-        assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
-        assert_eq!(v.get("id"), Some(&Json::Str("t".into())));
-        let bye = ask(r#"{"cmd":"shutdown"}"#);
+        // Two concurrent connections, each a mixed analyze/status/metrics
+        // stream: every reply is ok, carries a seq and echoes its id. Each
+        // client waits after its first reply until the other has one too,
+        // so connections served one after the other fail, not pass.
+        let first_replies = Arc::new(AtomicU64::new(0));
+        let clients: Vec<_> = (0..2)
+            .map(|c| {
+                let mut ask = connect();
+                let first_replies = Arc::clone(&first_replies);
+                std::thread::spawn(move || {
+                    for i in 0..15 {
+                        let id = format!("c{c}-{i}");
+                        let req = match i % 5 {
+                            3 => format!(r#"{{"cmd":"status","id":"{id}"}}"#),
+                            4 => format!(r#"{{"cmd":"metrics","id":"{id}"}}"#),
+                            _ => format!(r#"{{"cmd":"analyze","paths":["{id}"],"id":"{id}"}}"#),
+                        };
+                        let v = ask(&req);
+                        assert_eq!(v.get("ok"), Some(&Json::Bool(true)), "{req}: {v:?}");
+                        assert!(seq_of(&v) >= 1.0, "{req}: {v:?}");
+                        assert_eq!(v.get("id"), Some(&Json::Str(id)), "{req}: {v:?}");
+                        if i == 0 {
+                            first_replies.fetch_add(1, Ordering::SeqCst);
+                            let deadline = Instant::now() + Duration::from_secs(10);
+                            while first_replies.load(Ordering::SeqCst) < 2 {
+                                assert!(Instant::now() < deadline, "connections not concurrent");
+                                std::thread::yield_now();
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        for client in clients {
+            client.join().unwrap();
+        }
+        let bye = connect()(r#"{"cmd":"shutdown"}"#);
         assert_eq!(bye.get("ok"), Some(&Json::Bool(true)));
         server.join().unwrap().unwrap();
     }
