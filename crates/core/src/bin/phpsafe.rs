@@ -75,9 +75,10 @@ OPTIONS:
                         span self-profile tree to stderr
     --explain           print a source→sanitizer→sink provenance chain
                         for every reported vulnerability
-    --cache-dir <DIR>   persist parsed ASTs, call summaries and rendered
-                        reports under DIR so later runs (batch or daemon)
-                        warm-start from disk
+    --cache-dir <DIR>   persist parsed ASTs, call summaries and include
+                        dependency graphs under DIR so later runs (batch
+                        or daemon) warm-start from disk; only
+                        `phpsafe serve` also caches rendered reports
     -h, --help          show this help
 
 SUBCOMMANDS:

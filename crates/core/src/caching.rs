@@ -25,9 +25,7 @@ use php_ast::{
     parse_tokens, Arena, Callee, ClassDecl, Expr, ExprId, FunctionDecl, ParsedFile, Stmt, StmtId,
 };
 use php_lexer::tokenize;
-use phpsafe_engine::{
-    fnv1a_64, ArtifactCache, CacheCounters, ContentKey, DepGraph, DiskCache, LoadedPayload,
-};
+use phpsafe_engine::{fnv1a_64, ArtifactCache, CacheCounters, ContentKey, DepGraph, DiskCache};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -41,7 +39,9 @@ pub const AST_NAMESPACE: &str = "ast";
 // 2: the lexer no longer invents a terminator for an unterminated nowdoc
 //    and reads a label-less `<<<` as `<<` `<`, so entries written under 1
 //    may hold a different tree for such malformed input.
-pub const AST_FINGERPRINT: u64 = 2;
+// 3: statements now share the parser's nesting bound, so entries written
+//    under 2 may hold a different tree for statements nested past it.
+pub const AST_FINGERPRINT: u64 = 3;
 
 /// Flags a [`DiskCache::store`] result at an engine call site. Individual
 /// failures already warn with the exact path and count into
@@ -102,35 +102,17 @@ impl AstCache {
     /// `stage.parse` histograms on misses only (hits cost a hash plus a
     /// map lookup).
     ///
-    /// With a disk tier, a miss first tries the persisted AST. The ZAST
-    /// entry is validated once and *borrowed* — a [`ParsedFileRef`] view
-    /// over the loaded buffer whose pools are bulk-relocated without
-    /// re-decoding (counted in `diskcache.borrowed_loads`). A validation
-    /// failure drops the entry and falls back to a fresh parse, which is
-    /// written back.
-    ///
-    /// [`ParsedFileRef`]: php_ast::zast::ParsedFileRef
+    /// With a disk tier, a miss first tries the persisted AST: one read
+    /// of the entry and one checked [`php_ast::zast::decode`]. A payload
+    /// that fails to decode drops the entry and falls back to a fresh
+    /// parse, which is written back.
     pub fn parse(&self, src: &str) -> Arc<ParsedFile> {
         let key = ContentKey::of(src.as_bytes());
         let (ast, _hit) = self.cache.get_or_build(key, || {
             if let Some(disk) = &self.disk {
-                if let Some(loaded) = disk.load_mapped(AST_NAMESPACE, key, AST_FINGERPRINT) {
-                    // Mapped entries are validated in place: the view
-                    // borrows the mapping itself, so the only copy on the
-                    // warm path is the final pool relocation.
-                    let payload = match loaded {
-                        LoadedPayload::Mapped { file, offset, len } => {
-                            php_ast::zast::PayloadBytes::from_owner(file, offset, len)
-                        }
-                        LoadedPayload::Owned(bytes) => {
-                            php_ast::zast::PayloadBytes::from_arc(Arc::from(bytes))
-                        }
-                    };
-                    match php_ast::zast::ParsedFileRef::from_bytes(payload) {
-                        Ok(view) => {
-                            phpsafe_obs::count("diskcache.borrowed_loads", 1);
-                            return view.thaw();
-                        }
+                if let Some(bytes) = disk.load(AST_NAMESPACE, key, AST_FINGERPRINT) {
+                    match php_ast::zast::decode(&bytes) {
+                        Ok(parsed) => return parsed,
                         Err(_) => disk.note_corrupt(AST_NAMESPACE, key),
                     }
                 }

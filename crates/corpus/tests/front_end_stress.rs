@@ -4,6 +4,7 @@
 
 use php_ast::parse_tokens;
 use php_lexer::tokenize;
+use phpsafe::{PhpSafe, PluginProject, SourceFile};
 use phpsafe_corpus::{Corpus, Version};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -52,9 +53,9 @@ fn mutate(src: &str, kind: u8, at: u64, arg: usize) -> String {
             }
             String::from_utf8_lossy(&bytes).into_owned()
         }
-        // Deep `(` or `[` nesting, never closed.
+        // Deep expression or statement nesting, never closed.
         2 => {
-            let open = ["(", "["][arg % 2];
+            let open = ["(", "[", "{", "if ($a) {"][arg % 4];
             format!("{head}{}{tail}", open.repeat(arg))
         }
         // An unterminated string or heredoc.
@@ -91,12 +92,34 @@ proptest! {
 
 #[test]
 fn nesting_past_the_parser_bound_is_an_error_not_a_crash() {
-    for open in ["(", "["] {
-        let src = format!("<?php $x = {};", open.repeat(4096));
+    for (head, open, message) in [
+        ("$x = ", "(", "expression nested too deeply"),
+        ("$x = ", "[", "expression nested too deeply"),
+        ("", "{", "statement nested too deeply"),
+        ("", "if ($a) {", "statement nested too deeply"),
+    ] {
+        let src = format!("<?php {head}{};", open.repeat(4096));
         let file = parse_tokens(tokenize(&src));
-        assert!(file
-            .errors
-            .iter()
-            .any(|e| e.message == "expression nested too deeply"));
+        assert!(
+            file.errors.iter().any(|e| e.message == message),
+            "{open:?} x 4096 must record {message:?}"
+        );
     }
+}
+
+/// The daemon analyzes on worker threads with the default stack, so a
+/// deeply nested buffer must not overflow one.
+#[test]
+fn deep_statement_nesting_analyzes_on_a_default_stack() {
+    let src = format!("<?php {}echo $_GET['x'];", "if ($a) {".repeat(5000));
+    let outcome = std::thread::spawn(move || {
+        let project = PluginProject::new("deep").with_file(SourceFile::new("deep.php", &src));
+        PhpSafe::new().analyze(&project)
+    })
+    .join()
+    .expect("analysis thread must not die");
+    assert!(
+        outcome.files[0].parse_errors > 0,
+        "the over-deep nest must be reported"
+    );
 }

@@ -10,7 +10,8 @@
 //! The cache never trusts its own files. Every entry is wrapped in a
 //! versioned envelope carrying the format version, the writing crate's
 //! version, the caller's configuration fingerprint, the content key and an
-//! FNV-1a digest of the payload. A load re-validates all of them:
+//! FNV-1a digest of the payload. A [`DiskCache::load`] is one buffered
+//! read of the entry file, and it re-validates all of them:
 //!
 //! * a **stale** entry (format/crate-version/fingerprint/key mismatch) is
 //!   evicted — counted in `diskcache.evicted` with a log line;
@@ -31,7 +32,7 @@ use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Magic bytes opening every cache entry.
 const MAGIC: &[u8; 4] = b"PSC1";
@@ -67,9 +68,6 @@ pub struct DiskCounters {
     /// Stores that failed to land on disk (I/O errors degrade to a
     /// warning, never into the analysis result).
     pub store_failed: u64,
-    /// Hits served through a memory mapping instead of a buffered read
-    /// (see [`DiskCache::load_mapped`]).
-    pub mmap_loads: u64,
 }
 
 /// A persistent, content-addressed artifact store rooted at one directory.
@@ -89,7 +87,6 @@ pub struct DiskCache {
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
     store_failed: AtomicU64,
-    mmap_loads: AtomicU64,
     tmp_seq: AtomicU64,
     /// Bytes on disk per namespace, seeded by a directory scan at open
     /// and maintained on every store/evict; published as the
@@ -117,7 +114,6 @@ impl DiskCache {
             bytes_read: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
             store_failed: AtomicU64::new(0),
-            mmap_loads: AtomicU64::new(0),
             tmp_seq: AtomicU64::new(0),
             ns_bytes: Mutex::new(ns_bytes),
         })
@@ -139,7 +135,6 @@ impl DiskCache {
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
             store_failed: self.store_failed.load(Ordering::Relaxed),
-            mmap_loads: self.mmap_loads.load(Ordering::Relaxed),
         }
     }
 
@@ -175,7 +170,7 @@ impl DiskCache {
     pub fn load(&self, ns: &str, key: ContentKey, fingerprint: u64) -> Option<Vec<u8>> {
         let started = std::time::Instant::now();
         let path = self.entry_path(ns, key);
-        let bytes = match std::fs::read(&path) {
+        let mut bytes = match std::fs::read(&path) {
             Ok(b) => b,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -195,8 +190,10 @@ impl DiskCache {
         self.bytes_read
             .fetch_add(bytes.len() as u64, Ordering::Relaxed);
         phpsafe_obs::count("diskcache.bytes_read", bytes.len() as u64);
-        let payload = match validate_envelope(&bytes, ns, key, fingerprint) {
-            Ok(p) => p.to_vec(),
+        // The payload runs to the end of the entry, so dropping the
+        // envelope header in place leaves exactly the payload.
+        let header = match validate_envelope(&bytes, ns, key, fingerprint) {
+            Ok(payload) => bytes.len() - payload.len(),
             Err(reason) => {
                 self.drop_entry(&path, reason);
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -204,71 +201,11 @@ impl DiskCache {
                 return None;
             }
         };
+        bytes.drain(..header);
         self.hits.fetch_add(1, Ordering::Relaxed);
         phpsafe_obs::count("diskcache.hits", 1);
         phpsafe_obs::time("diskcache.load", started.elapsed());
-        Some(payload)
-    }
-
-    /// Like [`DiskCache::load`], but serves the payload through a private
-    /// read-only memory mapping of the entry file when the platform
-    /// supports it — the envelope is validated in place and the returned
-    /// [`LoadedPayload`] borrows the mapping instead of copying the bytes
-    /// into the heap. Any mapping failure falls back to the buffered read
-    /// path, so callers see identical semantics everywhere. Mapped hits
-    /// are counted as `diskcache.mmap_loads` on top of the usual
-    /// hit/miss/bytes accounting.
-    pub fn load_mapped(
-        &self,
-        ns: &str,
-        key: ContentKey,
-        fingerprint: u64,
-    ) -> Option<LoadedPayload> {
-        #[cfg(unix)]
-        {
-            let started = std::time::Instant::now();
-            let path = self.entry_path(ns, key);
-            match MappedFile::map(&path) {
-                Ok(Some(file)) => {
-                    let bytes: &[u8] = file.as_ref();
-                    self.bytes_read
-                        .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                    phpsafe_obs::count("diskcache.bytes_read", bytes.len() as u64);
-                    return match validate_envelope(bytes, ns, key, fingerprint) {
-                        Ok(payload) => {
-                            let offset = payload.as_ptr() as usize - bytes.as_ptr() as usize;
-                            let len = payload.len();
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                            self.mmap_loads.fetch_add(1, Ordering::Relaxed);
-                            phpsafe_obs::count("diskcache.hits", 1);
-                            phpsafe_obs::count("diskcache.mmap_loads", 1);
-                            phpsafe_obs::time("diskcache.load", started.elapsed());
-                            Some(LoadedPayload::Mapped {
-                                file: Arc::new(file),
-                                offset,
-                                len,
-                            })
-                        }
-                        Err(reason) => {
-                            self.drop_entry(&path, reason);
-                            self.misses.fetch_add(1, Ordering::Relaxed);
-                            phpsafe_obs::count("diskcache.misses", 1);
-                            None
-                        }
-                    };
-                }
-                Ok(None) => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    phpsafe_obs::count("diskcache.misses", 1);
-                    return None;
-                }
-                Err(_) => {
-                    // Mapping failed (permissions, exotic filesystem,
-                    // zero-length file): degrade to the read path below.
-                }
-            }
-        }
-        self.load(ns, key, fingerprint).map(LoadedPayload::Owned)
+        Some(bytes)
     }
 
     /// Atomically stores `payload` for `(ns, key, fingerprint)`. Returns
@@ -393,133 +330,6 @@ fn scan_ns_bytes(root: &Path) -> HashMap<String, u64> {
         out.insert(ns, total);
     }
     out
-}
-
-/// A private read-only memory mapping of one cache entry file, unmapped on
-/// drop. The mapping stays valid even if the entry is concurrently
-/// replaced (rename) or evicted (unlink): both leave the mapped inode
-/// alive until the last mapping goes away.
-pub struct MappedFile {
-    ptr: *mut core::ffi::c_void,
-    len: usize,
-}
-
-// The mapping is immutable for its whole lifetime, so shared access from
-// any thread is safe.
-unsafe impl Send for MappedFile {}
-unsafe impl Sync for MappedFile {}
-
-impl AsRef<[u8]> for MappedFile {
-    fn as_ref(&self) -> &[u8] {
-        // SAFETY: `ptr` is a live PROT_READ mapping of exactly `len`
-        // bytes, established in `map` and released only in `drop`.
-        unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
-    }
-}
-
-impl Drop for MappedFile {
-    fn drop(&mut self) {
-        #[cfg(unix)]
-        // SAFETY: `ptr`/`len` describe the mapping returned by `mmap`.
-        unsafe {
-            sys::munmap(self.ptr, self.len);
-        }
-    }
-}
-
-impl MappedFile {
-    /// Maps `path` read-only. `Ok(None)` means the file does not exist (a
-    /// clean miss); `Err` means mapping is unavailable here and the caller
-    /// should fall back to a buffered read.
-    #[cfg(unix)]
-    fn map(path: &Path) -> io::Result<Option<MappedFile>> {
-        use std::os::unix::io::AsRawFd;
-        let file = match std::fs::File::open(path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        let len = file.metadata()?.len() as usize;
-        if len == 0 {
-            // mmap rejects zero-length mappings; the read path handles the
-            // (always-corrupt) empty entry.
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "empty entry"));
-        }
-        // SAFETY: a fresh anonymous-address PROT_READ/MAP_PRIVATE mapping
-        // over the open fd; the result is checked against MAP_FAILED.
-        let ptr = unsafe {
-            sys::mmap(
-                std::ptr::null_mut(),
-                len,
-                sys::PROT_READ,
-                sys::MAP_PRIVATE,
-                file.as_raw_fd(),
-                0,
-            )
-        };
-        if ptr == sys::MAP_FAILED {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(Some(MappedFile { ptr, len }))
-    }
-}
-
-/// Raw libc bindings for the mapping syscalls — the workspace is
-/// dependency-free by policy, so the two symbols are declared directly.
-#[cfg(unix)]
-mod sys {
-    use core::ffi::{c_int, c_void};
-
-    pub const PROT_READ: c_int = 1;
-    pub const MAP_PRIVATE: c_int = 2;
-    pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
-
-    extern "C" {
-        pub fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: i64,
-        ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
-    }
-}
-
-/// A validated cache payload from [`DiskCache::load_mapped`]: either a
-/// window into a live memory mapping (zero-copy) or owned bytes from the
-/// read-path fallback.
-pub enum LoadedPayload {
-    /// `len` payload bytes starting at `offset` inside the mapped entry.
-    Mapped {
-        /// The mapping keeping the bytes alive.
-        file: Arc<MappedFile>,
-        /// Payload start inside the mapping.
-        offset: usize,
-        /// Payload length in bytes.
-        len: usize,
-    },
-    /// Owned payload bytes (platforms or errors where mapping is
-    /// unavailable).
-    Owned(Vec<u8>),
-}
-
-impl LoadedPayload {
-    /// The payload bytes, regardless of backing.
-    pub fn as_slice(&self) -> &[u8] {
-        match self {
-            LoadedPayload::Mapped { file, offset, len } => {
-                &file.as_ref().as_ref()[*offset..offset + len]
-            }
-            LoadedPayload::Owned(v) => v,
-        }
-    }
-
-    /// Whether the payload is served from a memory mapping.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self, LoadedPayload::Mapped { .. })
-    }
 }
 
 /// Why an entry was dropped.
@@ -759,45 +569,6 @@ mod tests {
             cache.load("ast", key, 0).as_deref(),
             Some(&b"ast bytes"[..])
         );
-    }
-
-    #[test]
-    fn mapped_load_round_trips_and_counts() {
-        let cache = DiskCache::open(tmp_root("mmap")).unwrap();
-        let key = ContentKey::of(b"mmap-src");
-        assert!(cache.load_mapped("ast", key, 3).is_none(), "clean miss");
-        cache.store("ast", key, 3, b"mapped payload");
-        let loaded = cache.load_mapped("ast", key, 3).unwrap();
-        assert_eq!(loaded.as_slice(), b"mapped payload");
-        let c = cache.counters();
-        assert_eq!(c.hits, 1);
-        if cfg!(unix) {
-            assert!(loaded.is_mapped(), "unix must serve through the mapping");
-            assert_eq!(c.mmap_loads, 1);
-        }
-        // The window stays readable after the entry is replaced on disk:
-        // rename swaps the directory entry, the mapped inode lives on.
-        cache.store("ast", key, 3, b"replaced bytes");
-        assert_eq!(loaded.as_slice(), b"mapped payload");
-    }
-
-    #[test]
-    fn mapped_load_validates_and_drops_corruption() {
-        let cache = DiskCache::open(tmp_root("mmap-corrupt")).unwrap();
-        let key = ContentKey::of(b"mmap-bad");
-        cache.store("ast", key, 0, b"payload");
-        let path = cache.entry_path("ast", key);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(cache.load_mapped("ast", key, 0).is_none());
-        assert_eq!(cache.counters().corrupt, 1);
-        assert!(!path.exists(), "corrupt entry must be removed");
-        // A stale fingerprint through the mapped path evicts too.
-        cache.store("ast", key, 1, b"payload");
-        assert!(cache.load_mapped("ast", key, 2).is_none());
-        assert_eq!(cache.counters().evicted, 1);
     }
 
     #[test]

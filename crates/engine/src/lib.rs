@@ -33,6 +33,6 @@ pub mod pool;
 
 pub use cache::{ArtifactCache, CacheCounters};
 pub use depgraph::DepGraph;
-pub use disk::{DiskCache, DiskCounters, LoadedPayload, MappedFile};
+pub use disk::{DiskCache, DiskCounters};
 pub use hash::{fnv1a_64, fnv1a_64_extend, ContentKey};
 pub use pool::{effective_jobs, effective_jobs_reported, run_ordered, PoolStats};

@@ -4,16 +4,17 @@
 //! by harnesses and dashboards; a run killed mid-write must never leave a
 //! half-written JSON behind. [`write_atomic`] follows the `DiskCache`
 //! convention — write the full contents to a sibling temp file, then
-//! `rename` into place — and [`TelemetrySink`] layers an NDJSON
-//! wide-event stream on top of it, rewriting the file atomically on each
-//! flush so the sink's file is a valid NDJSON document at every instant.
+//! `rename` into place. [`TelemetrySink`] is an append-only NDJSON
+//! wide-event stream: it writes each batch of lines once, with one write
+//! call, and keeps no history in memory.
 
+use std::fs::File;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// How many appended lines a [`TelemetrySink`] buffers before flushing.
+/// How many appended lines a [`TelemetrySink`] buffers before writing.
 const FLUSH_EVERY: usize = 64;
 
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -46,30 +47,53 @@ pub fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
     written
 }
 
-/// An NDJSON sink for wide events: lines accumulate in memory and the
-/// whole stream is rewritten to disk atomically every `FLUSH_EVERY` (64)
-/// appends and on [`TelemetrySink::flush`] (which the daemon calls at
-/// shutdown). A killed daemon therefore leaves the last complete flush,
-/// never a torn line.
+/// An NDJSON sink for wide events. Lines are buffered and written to the
+/// end of the file in batches of at most `FLUSH_EVERY` (64), each batch
+/// with one `write_all`; [`TelemetrySink::flush`] (which the daemon calls
+/// at shutdown) writes the rest and syncs the file's data. The file is
+/// opened once, truncated, on the first write, and the sink owns its only
+/// handle, so every write lands after the previous one. Only the pending
+/// batch is held in memory, and each line is written exactly once.
 pub struct TelemetrySink {
     path: PathBuf,
     state: Mutex<SinkState>,
 }
 
 struct SinkState {
-    buffer: String,
-    unflushed: usize,
+    /// Opened on the first write, so a sink that never writes leaves no
+    /// file behind.
+    file: Option<File>,
+    /// Lines not yet written, newline-terminated.
+    pending: String,
+    /// Number of lines in `pending`.
+    lines: usize,
+}
+
+impl SinkState {
+    /// Writes the pending lines with one `write_all` and empties the
+    /// buffer, whether or not the write succeeds.
+    fn write_pending(&mut self, path: &Path) -> io::Result<&mut File> {
+        let file = match &mut self.file {
+            Some(file) => file,
+            slot => slot.insert(File::create(path)?),
+        };
+        let written = file.write_all(self.pending.as_bytes());
+        self.pending.clear();
+        self.lines = 0;
+        written.map(|()| file)
+    }
 }
 
 impl TelemetrySink {
     /// A sink writing to `path`. The file itself is created on the first
-    /// flush.
+    /// write.
     pub fn new(path: impl Into<PathBuf>) -> TelemetrySink {
         TelemetrySink {
             path: path.into(),
             state: Mutex::new(SinkState {
-                buffer: String::new(),
-                unflushed: 0,
+                file: None,
+                pending: String::new(),
+                lines: 0,
             }),
         }
     }
@@ -79,28 +103,23 @@ impl TelemetrySink {
         &self.path
     }
 
-    /// Appends one NDJSON line (the newline is added here) and flushes
-    /// when enough lines accumulated.
+    /// Appends one NDJSON line (the newline is added here) and writes the
+    /// batch once it holds `FLUSH_EVERY` lines.
     pub fn append(&self, line: &str) -> io::Result<()> {
         let mut state = self.state.lock().unwrap();
-        state.buffer.push_str(line);
-        state.buffer.push('\n');
-        state.unflushed += 1;
-        if state.unflushed >= FLUSH_EVERY {
-            return Self::flush_locked(&self.path, &mut state);
+        state.pending.push_str(line);
+        state.pending.push('\n');
+        state.lines += 1;
+        if state.lines >= FLUSH_EVERY {
+            state.write_pending(&self.path)?;
         }
         Ok(())
     }
 
-    /// Forces the buffered stream onto disk (atomic rewrite).
+    /// Writes every pending line and syncs the file's data to disk.
     pub fn flush(&self) -> io::Result<()> {
         let mut state = self.state.lock().unwrap();
-        Self::flush_locked(&self.path, &mut state)
-    }
-
-    fn flush_locked(path: &Path, state: &mut SinkState) -> io::Result<()> {
-        state.unflushed = 0;
-        write_atomic(path, state.buffer.as_bytes())
+        state.write_pending(&self.path)?.sync_data()
     }
 }
 
@@ -160,6 +179,29 @@ mod tests {
         sink.flush().unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sink_appends_full_batches_and_keeps_only_the_pending_one() {
+        let dir = tmp("sink-append");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("telemetry.ndjson");
+        let sink = TelemetrySink::new(&path);
+        for i in 0..1000 {
+            sink.append(&format!("{{\"seq\":{i}}}")).unwrap();
+            let pending = sink.state.lock().unwrap().lines;
+            assert!(pending <= FLUSH_EVERY, "{pending} lines pending");
+        }
+        let written = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(written.lines().count(), 960, "15 full batches of 64");
+        sink.flush().unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), 1000);
+        for (i, line) in text.lines().enumerate() {
+            assert_eq!(line, format!("{{\"seq\":{i}}}"));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,7 +1,7 @@
 //! Little-endian byte primitives shared by the on-disk codecs: the
 //! [`Writer`] and bounds-checked [`Reader`] behind `phpsafe`'s
 //! summary/depgraph codecs, plus the [`CodecError`] they and the ZAST
-//! validator ([`crate::zast`]) fail with.
+//! decoder ([`crate::zast::decode`]) fail with.
 //!
 //! A [`Reader`] never panics on untrusted input: every read is
 //! bounds-checked and a short or malformed buffer yields a

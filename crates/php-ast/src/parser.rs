@@ -55,15 +55,16 @@ pub fn parse_tokens(mut toks: Vec<Token<'_>>) -> ParsedFile {
     file
 }
 
-/// Expression nesting the parser descends into before it records an error
-/// instead: a bound on recursion depth, so hostile input cannot overflow
-/// the stack.
+/// Statement plus expression nesting the parser descends into before it
+/// records an error instead: a bound on recursion depth, so hostile input
+/// cannot overflow the stack.
 const MAX_NESTING: u32 = 256;
 
 struct Parser<'a> {
     toks: Vec<Token<'a>>,
     pos: usize,
-    /// Current [`Parser::parse_prefix`] recursion depth.
+    /// Current [`Parser::parse_stmt`] plus [`Parser::parse_prefix`]
+    /// recursion depth.
     depth: u32,
     arena: Arena,
     errors: Vec<ParseError>,
@@ -284,7 +285,43 @@ impl<'a> Parser<'a> {
 
     // ---- statements ----
 
+    /// Every statement recursion passes through here. It shares
+    /// [`Parser::depth`] with [`Parser::parse_prefix`], so one
+    /// [`MAX_NESTING`] bounds statements and expressions together.
     fn parse_stmt(&mut self) -> StmtId {
+        if self.depth == MAX_NESTING {
+            self.error("statement nested too deeply");
+            let span = self.span();
+            self.skip_stmt();
+            return self.stmt(Stmt::Error(span));
+        }
+        self.depth += 1;
+        let s = self.parse_stmt_inner();
+        self.depth -= 1;
+        s
+    }
+
+    /// Skips the statement at the cursor without recursing: up to and
+    /// including a `;` outside braces, or the `}` closing the first brace
+    /// it opened. A `}` closing an enclosing block is left to the caller.
+    /// Linear in the tokens skipped, however deep they nest.
+    fn skip_stmt(&mut self) {
+        let mut depth = 0u32;
+        while let Some(k) = self.peek_kind() {
+            match k {
+                K::OpenBrace | K::CurlyOpen | K::DollarOpenCurlyBraces => depth += 1,
+                K::CloseBrace if depth == 0 => return,
+                K::CloseBrace => depth -= 1,
+                _ => {}
+            }
+            self.bump();
+            if depth == 0 && matches!(k, K::Semicolon | K::CloseBrace) {
+                return;
+            }
+        }
+    }
+
+    fn parse_stmt_inner(&mut self) -> StmtId {
         let span = self.span();
         let s = match self.peek_kind() {
             Some(K::Semicolon) => {

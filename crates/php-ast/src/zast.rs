@@ -3,18 +3,16 @@
 //!
 //! ZAST stores the flat [`Arena`] pools as fixed-width little-endian `u32`
 //! records behind a validated header and a relocation-free string table
-//! (an `(offset, len)` index into one UTF-8 blob), so a warm load can sit
-//! directly on the cached `Arc<[u8]>` payload:
+//! (an `(offset, len)` index into one UTF-8 blob). [`encode_file`] writes
+//! it; [`decode`] is the only reader.
 //!
-//! * [`ParsedFileRef::new`] runs **one** bounds-checking pass over the
-//!   payload — header counts against total length, every string against
-//!   the blob, every node handle / range / tag against the pool counts —
-//!   and interns each table string exactly once. Garbage input yields a
-//!   [`CodecError`], never a panic or an out-of-range pool handle.
-//! * After validation, the accessors ([`ParsedFileRef::expr`],
-//!   [`ParsedFileRef::stmt`]) read records straight out of the borrowed
-//!   buffer, and [`ParsedFileRef::thaw`] bulk-relocates the pools into a
-//!   [`ParsedFile`] without re-validating or re-decoding strings.
+//! [`decode`] reads a payload once. It checks the header counts against
+//! the exact payload length, every string against the blob (interning
+//! each one once), and then reads each pool through checked record
+//! readers into a vector sized from the header: every node handle, range
+//! and tag is checked against the pool counts as the record is built.
+//! Garbage input yields a [`CodecError`], never a panic or an
+//! out-of-range pool handle.
 //!
 //! Layout (all multi-byte values little-endian `u32` words):
 //!
@@ -40,7 +38,6 @@
 use crate::ast::*;
 use crate::codec::CodecError;
 use phpsafe_intern::{FnvHashMap, Symbol};
-use std::sync::Arc;
 
 /// Magic prefix of a ZAST payload.
 pub const MAGIC: &[u8; 4] = b"ZAST";
@@ -651,7 +648,7 @@ pub fn encode_file(file: &ParsedFile) -> Vec<u8> {
     out
 }
 
-// ------------------------------------------------------------------- view
+// ----------------------------------------------------------------- decoder
 
 fn fail<T>(what: &'static str, at: usize) -> Result<T> {
     Err(CodecError { what, at })
@@ -756,82 +753,11 @@ dec_enum!(
     [Public, Protected, Private]
 );
 
-/// An owner-erased immutable byte buffer backing a [`ParsedFileRef`].
-///
-/// The warm path wants to hand the view either a heap buffer
-/// (`Arc<[u8]>`) or a window into a memory-mapped disk-cache entry
-/// without copying. `PayloadBytes` pins whatever owns the bytes behind a
-/// type-erased `Arc` and dereferences to the byte window, so the view
-/// machinery is agnostic to where the payload lives.
-#[derive(Clone)]
-pub struct PayloadBytes {
-    // Kept only to hold the backing storage alive for `ptr`/`len`.
-    _owner: Arc<dyn std::any::Any + Send + Sync>,
-    ptr: *const u8,
-    len: usize,
-}
-
-// SAFETY: the window is immutable for its whole lifetime and the owner is
-// itself Send + Sync, so shared access from any thread is safe.
-unsafe impl Send for PayloadBytes {}
-unsafe impl Sync for PayloadBytes {}
-
-impl std::ops::Deref for PayloadBytes {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        // SAFETY: `ptr`/`len` index into a buffer kept alive by `_owner`,
-        // whose heap storage never moves behind the `Arc`.
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-}
-
-impl PayloadBytes {
-    /// Wraps a shared heap buffer (the non-mapped warm path).
-    pub fn from_arc(bytes: Arc<[u8]>) -> PayloadBytes {
-        let ptr = bytes.as_ptr();
-        let len = bytes.len();
-        PayloadBytes {
-            _owner: Arc::new(bytes),
-            ptr,
-            len,
-        }
-    }
-
-    /// The window `offset..offset + len` of a buffer owned by `owner`
-    /// (e.g. a memory-mapped cache entry). Panics if the window exceeds
-    /// the owner's bytes.
-    pub fn from_owner<T>(owner: Arc<T>, offset: usize, len: usize) -> PayloadBytes
-    where
-        T: AsRef<[u8]> + Send + Sync + 'static,
-    {
-        let window = &(*owner).as_ref()[offset..offset + len];
-        let ptr = window.as_ptr();
-        PayloadBytes {
-            _owner: owner,
-            ptr,
-            len,
-        }
-    }
-}
-
-impl From<Arc<[u8]>> for PayloadBytes {
-    fn from(bytes: Arc<[u8]>) -> PayloadBytes {
-        PayloadBytes::from_arc(bytes)
-    }
-}
-
-/// A validated borrowed view over a ZAST payload.
-///
-/// [`ParsedFileRef::new`] performs the single bounds-checking pass (and
-/// interns the string table); after that every accessor and [`thaw`]
-/// reads fixed-width records straight out of the shared [`PayloadBytes`]
-/// buffer with no further validation, allocation, or string decoding.
-///
-/// [`thaw`]: ParsedFileRef::thaw
-#[derive(Clone)]
-pub struct ParsedFileRef {
-    payload: PayloadBytes,
+/// A ZAST payload whose header, exact length, string table and top range
+/// have been checked. The `read_*` methods check every record they read,
+/// so [`decode`] validates and builds each pool in the same pass.
+struct Decoder<'a> {
+    bytes: &'a [u8],
     counts: [u32; N_POOLS],
     offsets: [usize; N_POOLS],
     err_off: usize,
@@ -843,33 +769,59 @@ pub struct ParsedFileRef {
     syms: Vec<Symbol>,
 }
 
-impl ParsedFileRef {
-    /// Validates a shared heap buffer as a ZAST v2 file; see
-    /// [`ParsedFileRef::from_bytes`] for the general (e.g. memory-mapped)
-    /// entry point.
-    pub fn new(payload: Arc<[u8]>) -> Result<ParsedFileRef> {
-        ParsedFileRef::from_bytes(PayloadBytes::from_arc(payload))
-    }
+/// Decodes a ZAST v2 payload into an owned [`ParsedFile`].
+///
+/// One pass checks everything: header counts against the exact payload
+/// length, strings against the blob (bounds and UTF-8), and every
+/// record's tag, handle, range and string index against the pool counts.
+/// Each record is checked as it is read into its pool. Malformed input —
+/// truncation, bit flips, hostile counts — yields `Err`, never a panic or
+/// an out-of-range handle.
+pub fn decode(bytes: &[u8]) -> Result<ParsedFile> {
+    let d = Decoder::new(bytes)?;
+    let arena = Arena {
+        exprs: d.read_all(d.counts[P_EXPRS], Decoder::read_expr)?,
+        stmts: d.read_all(d.counts[P_STMTS], Decoder::read_stmt)?,
+        expr_ids: d.read_all(d.counts[P_EXPR_IDS], Decoder::read_expr_id)?,
+        stmt_ids: d.read_all(d.counts[P_STMT_IDS], Decoder::read_stmt_id)?,
+        args: d.read_all(d.counts[P_ARGS], Decoder::read_arg)?,
+        params: d.read_all(d.counts[P_PARAMS], Decoder::read_param)?,
+        interp_parts: d.read_all(d.counts[P_INTERP], Decoder::read_interp_part)?,
+        array_items: d.read_all(d.counts[P_ITEMS], Decoder::read_array_item)?,
+        opt_exprs: d.read_all(d.counts[P_OPT_EXPRS], Decoder::read_opt_expr)?,
+        elseifs: d.read_all(d.counts[P_ELSEIFS], Decoder::read_elseif)?,
+        cases: d.read_all(d.counts[P_CASES], Decoder::read_case)?,
+        catches: d.read_all(d.counts[P_CATCHES], Decoder::read_catch)?,
+        syms: d.read_all(d.counts[P_SYMS], Decoder::read_sym_entry)?,
+        static_vars: d.read_all(d.counts[P_STATIC_VARS], Decoder::read_static_var)?,
+        closure_uses: d.read_all(d.counts[P_USES], Decoder::read_closure_use)?,
+        consts: d.read_all(d.counts[P_CONSTS], Decoder::read_const_item)?,
+        members: d.read_all(d.counts[P_MEMBERS], Decoder::read_class_member)?,
+        slices: d.slices,
+    };
+    Ok(ParsedFile {
+        arena,
+        top: d.top,
+        errors: d.read_all(d.n_errors, Decoder::read_error)?,
+    })
+}
 
-    /// Validates `payload` as a ZAST v2 file and builds the borrowed view.
-    /// This is the **only** pass that checks anything: header counts
-    /// against the exact payload length, strings against the blob
-    /// (bounds and UTF-8), and every record's tag, handle, range, and
-    /// string index against the pool counts. Malformed input —
-    /// truncation, bit flips, hostile counts — yields `Err`, never a
-    /// panic or out-of-bounds handle.
-    pub fn from_bytes(payload: PayloadBytes) -> Result<ParsedFileRef> {
-        if payload.len() < HEADER_BYTES {
-            return fail("zast payload shorter than header", payload.len());
+impl<'a> Decoder<'a> {
+    /// Checks the header, the exact payload length, the string table
+    /// (interning each string once) and the top range. Records are left
+    /// for the `read_*` methods.
+    fn new(bytes: &'a [u8]) -> Result<Decoder<'a>> {
+        if bytes.len() < HEADER_BYTES {
+            return fail("zast payload shorter than header", bytes.len());
         }
-        if &payload[..4] != MAGIC {
+        if &bytes[..4] != MAGIC {
             return fail("bad zast magic", 0);
         }
         let word = |i: usize| {
-            let b = &payload[8 + i * 4..8 + i * 4 + 4];
+            let b = &bytes[8 + i * 4..8 + i * 4 + 4];
             u32::from_le_bytes([b[0], b[1], b[2], b[3]])
         };
-        if u32::from_le_bytes([payload[4], payload[5], payload[6], payload[7]]) != VERSION {
+        if u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]) != VERSION {
             return fail("unsupported zast version", 4);
         }
         let mut counts = [0u32; N_POOLS];
@@ -884,7 +836,9 @@ impl ParsedFileRef {
         let slices = word(N_POOLS + 5);
 
         // The header fully determines the payload length; check it exactly
-        // (u64 arithmetic so hostile counts cannot overflow the math).
+        // (u64 arithmetic so hostile counts cannot overflow the math). This
+        // also bounds every count, so pre-sizing a pool from its count
+        // cannot over-allocate.
         let align8_64 = |n: u64| (n + 7) & !7;
         let mut off = HEADER_BYTES as u64;
         let sidx_off = off as usize;
@@ -893,19 +847,19 @@ impl ParsedFileRef {
         off = align8_64(off + blob_len as u64);
         let mut offsets = [0usize; N_POOLS];
         for p in 0..N_POOLS {
-            if off > payload.len() as u64 {
-                return fail("zast section exceeds payload", payload.len());
+            if off > bytes.len() as u64 {
+                return fail("zast section exceeds payload", bytes.len());
             }
             offsets[p] = off as usize;
             off = align8_64(off + counts[p] as u64 * POOL_WORDS[p] as u64 * 4);
         }
-        if off > payload.len() as u64 {
-            return fail("zast section exceeds payload", payload.len());
+        if off > bytes.len() as u64 {
+            return fail("zast section exceeds payload", bytes.len());
         }
         let err_off = off as usize;
         off += n_errors as u64 * 8;
-        if off != payload.len() as u64 {
-            return fail("zast payload length mismatch", payload.len());
+        if off != bytes.len() as u64 {
+            return fail("zast payload length mismatch", bytes.len());
         }
 
         // String table: bounds + UTF-8 check each entry, interning it once.
@@ -913,21 +867,24 @@ impl ParsedFileRef {
         let mut syms = Vec::with_capacity(n_strings as usize);
         for i in 0..n_strings as usize {
             let at = sidx_off + i * 8;
-            let b = &payload[at..at + 8];
+            let b = &bytes[at..at + 8];
             let s = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as u64;
             let l = u32::from_le_bytes([b[4], b[5], b[6], b[7]]) as u64;
             if s + l > blob_len as u64 {
                 return fail("string exceeds blob", at);
             }
-            let bytes = &payload[blob_off + s as usize..blob_off + (s + l) as usize];
-            match std::str::from_utf8(bytes) {
+            let text = &bytes[blob_off + s as usize..blob_off + (s + l) as usize];
+            match std::str::from_utf8(text) {
                 Ok(text) => syms.push(Symbol::from(text)),
                 Err(_) => return fail("string is not UTF-8", at),
             }
         }
 
-        let r = ParsedFileRef {
-            payload,
+        if top_start as u64 + top_len as u64 > counts[P_STMT_IDS] as u64 {
+            return fail("top range exceeds statement list pool", HEADER_BYTES);
+        }
+        Ok(Decoder {
+            bytes,
             counts,
             offsets,
             err_off,
@@ -935,72 +892,16 @@ impl ParsedFileRef {
             top: StmtRange::from_raw_parts(top_start, top_len),
             slices,
             syms,
-        };
-        if top_start as u64 + top_len as u64 > r.counts[P_STMT_IDS] as u64 {
-            return fail("top range exceeds statement list pool", HEADER_BYTES);
-        }
-        r.validate_records()?;
-        Ok(r)
+        })
     }
 
-    /// Validates every record of every pool by reading it once through the
-    /// checked readers.
-    fn validate_records(&self) -> Result<()> {
-        for i in 0..self.counts[P_EXPRS] {
-            self.read_expr(i)?;
+    /// Reads records `0..n` through `read` into a vector sized up front.
+    fn read_all<T>(&self, n: u32, read: impl Fn(&Self, u32) -> Result<T>) -> Result<Vec<T>> {
+        let mut out = Vec::with_capacity(n as usize);
+        for i in 0..n {
+            out.push(read(self, i)?);
         }
-        for i in 0..self.counts[P_STMTS] {
-            self.read_stmt(i)?;
-        }
-        for i in 0..self.counts[P_EXPR_IDS] {
-            self.read_expr_id(i)?;
-        }
-        for i in 0..self.counts[P_STMT_IDS] {
-            self.read_stmt_id(i)?;
-        }
-        for i in 0..self.counts[P_ARGS] {
-            self.read_arg(i)?;
-        }
-        for i in 0..self.counts[P_PARAMS] {
-            self.read_param(i)?;
-        }
-        for i in 0..self.counts[P_INTERP] {
-            self.read_interp_part(i)?;
-        }
-        for i in 0..self.counts[P_ITEMS] {
-            self.read_array_item(i)?;
-        }
-        for i in 0..self.counts[P_OPT_EXPRS] {
-            self.read_opt_expr(i)?;
-        }
-        for i in 0..self.counts[P_ELSEIFS] {
-            self.read_elseif(i)?;
-        }
-        for i in 0..self.counts[P_CASES] {
-            self.read_case(i)?;
-        }
-        for i in 0..self.counts[P_CATCHES] {
-            self.read_catch(i)?;
-        }
-        for i in 0..self.counts[P_SYMS] {
-            self.read_sym_entry(i)?;
-        }
-        for i in 0..self.counts[P_STATIC_VARS] {
-            self.read_static_var(i)?;
-        }
-        for i in 0..self.counts[P_USES] {
-            self.read_closure_use(i)?;
-        }
-        for i in 0..self.counts[P_CONSTS] {
-            self.read_const_item(i)?;
-        }
-        for i in 0..self.counts[P_MEMBERS] {
-            self.read_class_member(i)?;
-        }
-        for i in 0..self.n_errors {
-            self.read_error(i)?;
-        }
-        Ok(())
+        Ok(out)
     }
 
     // -- raw word access (in-bounds by the header length check whenever
@@ -1011,7 +912,7 @@ impl ParsedFileRef {
     }
 
     fn word_at(&self, byte: usize) -> u32 {
-        let b = &self.payload[byte..byte + 4];
+        let b = &self.bytes[byte..byte + 4];
         u32::from_le_bytes([b[0], b[1], b[2], b[3]])
     }
 
@@ -1517,102 +1418,6 @@ impl ParsedFileRef {
     }
 }
 
-impl ParsedFileRef {
-    /// Size of the underlying payload in bytes.
-    pub fn payload_len(&self) -> usize {
-        self.payload.len()
-    }
-
-    /// Number of expression records.
-    pub fn expr_count(&self) -> usize {
-        self.counts[P_EXPRS] as usize
-    }
-
-    /// Number of statement records.
-    pub fn stmt_count(&self) -> usize {
-        self.counts[P_STMTS] as usize
-    }
-
-    /// Total node count (expressions + statements), matching
-    /// [`Arena::node_count`].
-    pub fn node_count(&self) -> usize {
-        self.expr_count() + self.stmt_count()
-    }
-
-    /// Number of recovered parse errors.
-    pub fn error_count(&self) -> usize {
-        self.n_errors as usize
-    }
-
-    /// The top-level statement range.
-    pub fn top(&self) -> StmtRange {
-        self.top
-    }
-
-    /// Reads expression record `i` straight from the borrowed buffer.
-    /// Panics if `i >= expr_count()` (the payload itself was validated by
-    /// [`ParsedFileRef::new`], so in-range reads cannot fail).
-    pub fn expr(&self, i: u32) -> Expr {
-        assert!(i < self.counts[P_EXPRS], "expression index out of range");
-        self.read_expr(i).expect("validated zast payload")
-    }
-
-    /// Reads statement record `i` straight from the borrowed buffer.
-    /// Panics if `i >= stmt_count()`.
-    pub fn stmt(&self, i: u32) -> Stmt {
-        assert!(i < self.counts[P_STMTS], "statement index out of range");
-        self.read_stmt(i).expect("validated zast payload")
-    }
-
-    /// Bulk-relocates the borrowed pools into an owned [`ParsedFile`].
-    /// No re-validation and no string decoding: every string was interned
-    /// once by [`ParsedFileRef::new`], so this is a straight record →
-    /// `Copy`-struct translation pass in pool order.
-    pub fn thaw(&self) -> ParsedFile {
-        const OK: &str = "validated zast payload";
-        fn read_all<T>(n: u32, f: impl Fn(u32) -> T) -> Vec<T> {
-            (0..n).map(f).collect()
-        }
-        let arena = Arena {
-            exprs: read_all(self.counts[P_EXPRS], |i| self.read_expr(i).expect(OK)),
-            stmts: read_all(self.counts[P_STMTS], |i| self.read_stmt(i).expect(OK)),
-            expr_ids: read_all(self.counts[P_EXPR_IDS], |i| self.read_expr_id(i).expect(OK)),
-            stmt_ids: read_all(self.counts[P_STMT_IDS], |i| self.read_stmt_id(i).expect(OK)),
-            args: read_all(self.counts[P_ARGS], |i| self.read_arg(i).expect(OK)),
-            params: read_all(self.counts[P_PARAMS], |i| self.read_param(i).expect(OK)),
-            interp_parts: read_all(self.counts[P_INTERP], |i| {
-                self.read_interp_part(i).expect(OK)
-            }),
-            array_items: read_all(self.counts[P_ITEMS], |i| self.read_array_item(i).expect(OK)),
-            opt_exprs: read_all(self.counts[P_OPT_EXPRS], |i| {
-                self.read_opt_expr(i).expect(OK)
-            }),
-            elseifs: read_all(self.counts[P_ELSEIFS], |i| self.read_elseif(i).expect(OK)),
-            cases: read_all(self.counts[P_CASES], |i| self.read_case(i).expect(OK)),
-            catches: read_all(self.counts[P_CATCHES], |i| self.read_catch(i).expect(OK)),
-            syms: read_all(self.counts[P_SYMS], |i| self.read_sym_entry(i).expect(OK)),
-            static_vars: read_all(self.counts[P_STATIC_VARS], |i| {
-                self.read_static_var(i).expect(OK)
-            }),
-            closure_uses: read_all(self.counts[P_USES], |i| self.read_closure_use(i).expect(OK)),
-            consts: read_all(self.counts[P_CONSTS], |i| {
-                self.read_const_item(i).expect(OK)
-            }),
-            members: read_all(self.counts[P_MEMBERS], |i| {
-                self.read_class_member(i).expect(OK)
-            }),
-            slices: self.slices,
-        };
-        ParsedFile {
-            arena,
-            top: self.top,
-            errors: (0..self.n_errors)
-                .map(|i| self.read_error(i).expect(OK))
-                .collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1671,16 +1476,15 @@ echo $undefined_syntax ===;
         (f, bytes)
     }
 
-    fn view(bytes: &[u8]) -> ParsedFileRef {
-        ParsedFileRef::new(Arc::from(bytes.to_vec())).expect("valid payload")
+    fn decoded(bytes: &[u8]) -> ParsedFile {
+        decode(bytes).expect("valid payload")
     }
 
     #[test]
     fn roundtrip_is_identical() {
         let (f, bytes) = encoded();
         assert!(!f.errors.is_empty(), "source should exercise recovery");
-        let v = view(&bytes);
-        assert_eq!(v.thaw(), f);
+        assert_eq!(decoded(&bytes), f);
         // Shapes the kitchen sink does not cover: an HTML-only file,
         // `print @…` / bare `exit;`, and a recovered unclosed condition.
         for src in [
@@ -1689,7 +1493,7 @@ echo $undefined_syntax ===;
             "<?php if ($a { echo 1; }",
         ] {
             let f = parse(src);
-            assert_eq!(view(&encode_file(&f)).thaw(), f, "source: {src:?}");
+            assert_eq!(decoded(&encode_file(&f)), f, "source: {src:?}");
         }
     }
 
@@ -1705,25 +1509,9 @@ echo $undefined_syntax ===;
     fn encoding_is_deterministic() {
         let (f, bytes) = encoded();
         assert_eq!(encode_file(&f), bytes);
-        // Re-encoding a thawed copy is also byte-identical: the string
+        // Re-encoding a decoded copy is also byte-identical: the string
         // table order depends only on record order, not interner state.
-        let thawed = view(&bytes).thaw();
-        assert_eq!(encode_file(&thawed), bytes);
-    }
-
-    #[test]
-    fn view_accessors_match_thawed_arena() {
-        let (f, bytes) = encoded();
-        let v = view(&bytes);
-        assert_eq!(v.node_count(), f.arena.node_count());
-        assert_eq!(v.top(), f.top);
-        assert_eq!(v.error_count(), f.errors.len());
-        for i in 0..v.expr_count() as u32 {
-            assert_eq!(v.expr(i), *f.expr(ExprId::from_raw(i)));
-        }
-        for i in 0..v.stmt_count() as u32 {
-            assert_eq!(v.stmt(i), *f.stmt(StmtId::from_raw(i)));
-        }
+        assert_eq!(encode_file(&decoded(&bytes)), bytes);
     }
 
     #[test]
@@ -1733,13 +1521,13 @@ echo $undefined_syntax ===;
         // must be rejected (and must not panic).
         for len in 0..bytes.len() {
             assert!(
-                ParsedFileRef::new(Arc::from(bytes[..len].to_vec())).is_err(),
+                decode(&bytes[..len]).is_err(),
                 "truncation to {len} bytes must fail"
             );
         }
         let mut extended = bytes.clone();
         extended.extend_from_slice(&[0u8; 8]);
-        assert!(ParsedFileRef::new(Arc::from(extended)).is_err());
+        assert!(decode(&extended).is_err());
     }
 
     #[test]
@@ -1752,11 +1540,9 @@ echo $undefined_syntax ===;
                 if b[pos] == bytes[pos] {
                     continue;
                 }
-                // Either rejected up front, or still structurally valid —
-                // in which case every downstream read must stay in bounds.
-                if let Ok(v) = ParsedFileRef::new(Arc::from(b)) {
-                    let _ = v.thaw();
-                }
+                // Either rejected, or decoded into a tree whose handles
+                // all stay in bounds; never a panic.
+                let _ = decode(&b);
             }
         }
     }
@@ -1765,7 +1551,7 @@ echo $undefined_syntax ===;
     fn garbage_fails_cleanly() {
         for n in [0usize, 3, 7, 8, 95, 104, 256, 4096] {
             let junk: Vec<u8> = (0..n).map(|i| (i * 37 + 11) as u8).collect();
-            assert!(ParsedFileRef::new(Arc::from(junk)).is_err());
+            assert!(decode(&junk).is_err());
         }
         // Correct magic + version but hostile counts.
         let mut hostile = Vec::new();
@@ -1774,26 +1560,21 @@ echo $undefined_syntax ===;
         for _ in 0..HEADER_WORDS {
             hostile.extend_from_slice(&u32::MAX.to_le_bytes());
         }
-        assert!(ParsedFileRef::new(Arc::from(hostile)).is_err());
+        assert!(decode(&hostile).is_err());
     }
 
     #[test]
     fn empty_file_roundtrips() {
         let f = parse("");
         let bytes = encode_file(&f);
-        let v = view(&bytes);
-        assert_eq!(v.node_count(), f.arena.node_count());
-        assert_eq!(v.thaw(), f);
+        assert_eq!(decoded(&bytes), f);
     }
 
     #[test]
     fn wrong_version_is_rejected() {
         let (_, mut bytes) = encoded();
         bytes[4] = 3;
-        let err = match ParsedFileRef::new(Arc::from(bytes)) {
-            Err(e) => e,
-            Ok(_) => panic!("wrong version must be rejected"),
-        };
+        let err = decode(&bytes).expect_err("wrong version must be rejected");
         assert_eq!(err.what, "unsupported zast version");
     }
 }

@@ -49,8 +49,6 @@ const DECLARED_COUNTERS: &[&str] = &[
     "serve.request.telemetry_errors",
     "diskcache.bytes_read",
     "diskcache.bytes_written",
-    "diskcache.borrowed_loads",
-    "diskcache.mmap_loads",
     "diskcache.store_failed",
     "depgraph.builds",
     "depgraph.hits",

@@ -99,8 +99,7 @@ for key in serve.requests serve.accepted serve.request serve.analyze \
            serve.invalidate serve.request.queue_wait serve.request.wide_events \
            serve.worker_panics diskcache.misses diskcache.stores \
            diskcache.bytes_read diskcache.bytes_written \
-           diskcache.borrowed_loads diskcache.store_failed \
-           diskcache.mmap_loads depgraph.builds depgraph.hits \
+           diskcache.store_failed depgraph.builds depgraph.hits \
            depgraph.nodes depgraph.edges depgraph.invalidated \
            incremental.files_dirty incremental.files_reanalyzed \
            diskcache.bytes_on_disk.ast diskcache.bytes_on_disk.summary \
