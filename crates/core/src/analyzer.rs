@@ -4,7 +4,7 @@
 //! be analyzed and delivers the results"*) — plus the capability switches
 //! that also power the baselines and the ablation benches.
 
-use crate::caching::EngineCaches;
+use crate::caching::{EngineCaches, SharedCaches};
 use crate::explain::TaintEvent;
 use crate::interp::Interp;
 use crate::project::PluginProject;
@@ -12,8 +12,10 @@ use crate::report::{AnalysisOutcome, AnalysisStats, FileFailure, FileReport};
 use crate::symbols::SymbolTable;
 use php_ast::visit::{self, Visitor};
 use php_ast::{parse, Arena, Callee, ClassDecl, Expr, ExprId, ParsedFile};
+use phpsafe_engine::ContentKey;
+use phpsafe_intern::FnvHashMap;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use taint_config::{wordpress, TaintConfig};
 
 /// Capability switches for the analysis engine.
@@ -91,6 +93,9 @@ pub struct PhpSafe {
     config: TaintConfig,
     options: AnalyzerOptions,
     tool_name: String,
+    /// [`PhpSafe::fingerprint`], computed on first use; every `with_*`
+    /// method that changes an input resets it.
+    fingerprint: OnceLock<u64>,
 }
 
 impl Default for PhpSafe {
@@ -106,24 +111,28 @@ impl PhpSafe {
             config: wordpress(),
             options: AnalyzerOptions::default(),
             tool_name: "phpSAFE".to_string(),
+            fingerprint: OnceLock::new(),
         }
     }
 
     /// Replaces the vulnerability configuration (e.g. a Drupal profile).
     pub fn with_config(mut self, config: TaintConfig) -> Self {
         self.config = config;
+        self.fingerprint = OnceLock::new();
         self
     }
 
     /// Replaces the capability options (baselines, ablations).
     pub fn with_options(mut self, options: AnalyzerOptions) -> Self {
         self.options = options;
+        self.fingerprint = OnceLock::new();
         self
     }
 
     /// Sets the tool name recorded in outcomes.
     pub fn with_tool_name(mut self, name: impl Into<String>) -> Self {
         self.tool_name = name.into();
+        self.fingerprint = OnceLock::new();
         self
     }
 
@@ -141,15 +150,19 @@ impl PhpSafe {
     /// tool's output for a given input: the taint configuration, the
     /// capability options and the tool name. Persistent caches key derived
     /// artifacts (summary blobs, rendered daemon responses) on this, so
-    /// flipping any switch invalidates them.
+    /// flipping any switch invalidates them. Computed once per tool value
+    /// (rendering the configuration is not free), and only when a cached
+    /// run or the daemon first asks for it.
     pub fn fingerprint(&self) -> u64 {
-        let text = format!(
-            "{}\x1f{:016x}\x1f{:?}",
-            self.tool_name,
-            self.config.fingerprint(),
-            self.options
-        );
-        phpsafe_engine::fnv1a_64(text.as_bytes())
+        *self.fingerprint.get_or_init(|| {
+            let text = format!(
+                "{}\x1f{:016x}\x1f{:?}",
+                self.tool_name,
+                self.config.fingerprint(),
+                self.options
+            );
+            phpsafe_engine::digest64(text.as_bytes())
+        })
     }
 
     /// Runs the full four-stage pipeline over a plugin and returns the
@@ -194,11 +207,13 @@ impl PhpSafe {
         // ---- stage 2: model construction ----
         let span_model = phpsafe_obs::span!("analyze.model");
         let mut parsed: HashMap<String, Arc<ParsedFile>> = HashMap::new();
+        // The content key of each file in `parsed`, for the declaration memo.
+        let mut parsed_keys: FnvHashMap<&str, ContentKey> = FnvHashMap::default();
         let mut reports: Vec<FileReport> = Vec::new();
         let mut rejected: Vec<String> = Vec::new();
-        for file in project.files() {
+        for (file, &key) in project.files().iter().zip(project.file_keys()) {
             let ast = match caches {
-                Some(c) => c.ast().parse(&file.content),
+                Some(c) => c.ast().parse_keyed(&file.content, key),
                 None => Arc::new(parse(&file.content)),
             };
             let mut report = FileReport {
@@ -219,6 +234,7 @@ impl PhpSafe {
                 rejected.push(file.path.clone());
             } else {
                 parsed.insert(file.path.clone(), ast);
+                parsed_keys.insert(&file.path, key);
             }
             reports.push(report);
         }
@@ -243,9 +259,9 @@ impl PhpSafe {
 
         // ---- stage 3: analysis ----
         let span_taint = phpsafe_obs::span!("analyze.taint");
-        let summaries = caches.map(|c| {
+        let shared = caches.map(|c| {
             c.warm_summaries(&self.tool_name, self.fingerprint());
-            c.summaries_for(&self.tool_name)
+            SharedCaches::new(c, &self.tool_name, parsed_keys)
         });
         let mut interp = Interp::new(
             &self.config,
@@ -253,7 +269,7 @@ impl PhpSafe {
             &symbols,
             project,
             &parsed,
-            summaries,
+            shared,
             capture,
         );
         let mut total_work = 0u64;
@@ -385,6 +401,38 @@ mod tests {
 
     fn analyze(src: &str) -> AnalysisOutcome {
         PhpSafe::new().analyze(&plugin(src))
+    }
+
+    #[test]
+    fn fingerprint_is_memoized_and_reset_by_every_setter() {
+        let base = PhpSafe::new();
+        let fp = base.fingerprint();
+        assert_eq!(fp, base.fingerprint());
+        assert_eq!(fp, PhpSafe::new().fingerprint());
+        let options = AnalyzerOptions {
+            oop: false,
+            ..AnalyzerOptions::default()
+        };
+        // Each variant starts from a tool whose fingerprint is memoized;
+        // each twin is built fresh.
+        let pairs = [
+            (
+                base.clone().with_options(options.clone()),
+                PhpSafe::new().with_options(options),
+            ),
+            (
+                base.clone().with_config(taint_config::drupal()),
+                PhpSafe::new().with_config(taint_config::drupal()),
+            ),
+            (
+                base.clone().with_tool_name("other"),
+                PhpSafe::new().with_tool_name("other"),
+            ),
+        ];
+        for (variant, twin) in &pairs {
+            assert_ne!(variant.fingerprint(), fp, "{variant:?}");
+            assert_eq!(variant.fingerprint(), twin.fingerprint(), "{variant:?}");
+        }
     }
 
     #[test]

@@ -25,7 +25,8 @@ use php_ast::{
     parse_tokens, Arena, Callee, ClassDecl, Expr, ExprId, FunctionDecl, ParsedFile, Stmt, StmtId,
 };
 use php_lexer::tokenize;
-use phpsafe_engine::{fnv1a_64, ArtifactCache, CacheCounters, ContentKey, DepGraph, DiskCache};
+use phpsafe_engine::{digest64, ArtifactCache, CacheCounters, ContentKey, DepGraph, DiskCache};
+use phpsafe_intern::{FnvHashMap, Symbol};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -107,7 +108,14 @@ impl AstCache {
     /// that fails to decode drops the entry and falls back to a fresh
     /// parse, which is written back.
     pub fn parse(&self, src: &str) -> Arc<ParsedFile> {
-        let key = ContentKey::of(src.as_bytes());
+        self.parse_keyed(src, ContentKey::of(src.as_bytes()))
+    }
+
+    /// [`AstCache::parse`] for a caller that already holds the source's
+    /// key (a [`crate::PluginProject`] digests each file once, on load),
+    /// so a hit costs only the map lookup. `key` must be
+    /// `ContentKey::of(src.as_bytes())`.
+    pub fn parse_keyed(&self, src: &str, key: ContentKey) -> Arc<ParsedFile> {
         let (ast, _hit) = self.cache.get_or_build(key, || {
             if let Some(disk) = &self.disk {
                 if let Some(bytes) = disk.load(AST_NAMESPACE, key, AST_FINGERPRINT) {
@@ -166,10 +174,102 @@ impl SummaryKey {
     /// Builds the key for calling `decl` (arena handles into `a`) with
     /// `args`.
     pub fn new(a: &Arena, decl: &FunctionDecl, args: &[VarState]) -> SummaryKey {
+        SummaryKey::with_fingerprint(fingerprint_decl(a, decl), args)
+    }
+
+    /// The key for calling a declaration whose fingerprint is `decl_fp`.
+    pub(crate) fn with_fingerprint(decl_fp: u64, args: &[VarState]) -> SummaryKey {
         SummaryKey {
-            decl_fp: fingerprint_decl(a, decl),
+            decl_fp,
             sig: args.iter().map(|s| (s.taint, s.sanitized_from)).collect(),
         }
+    }
+}
+
+/// What a cross-run summary lookup needs to know about a shareable
+/// declaration: its fingerprint and the calls [`shareable_calls`]
+/// collects, as interned names.
+#[derive(Debug)]
+pub(crate) struct SharedDecl {
+    pub(crate) fp: u64,
+    pub(crate) calls: Vec<Symbol>,
+}
+
+impl SharedDecl {
+    /// `None` when the declaration is not a pure leaf.
+    fn of(a: &Arena, decl: &FunctionDecl) -> Option<SharedDecl> {
+        let calls = shareable_calls(a, decl)?;
+        Some(SharedDecl {
+            fp: fingerprint_decl(a, decl),
+            calls,
+        })
+    }
+}
+
+/// [`SharedDecl::of`] memoized per (declaring file's content, declaration).
+/// Equal content parses to equal arenas, so a declaration's handles name
+/// the same nodes in every file with that key; neither value depends on
+/// the tool, so one memo serves every tool. Entries are grouped per file
+/// and their calls pooled, so the memo costs a few dozen bytes per
+/// declaration for the cache set's lifetime.
+#[derive(Default)]
+struct DeclCache(Mutex<FnvHashMap<ContentKey, FileDecls>>);
+
+/// The memoized declarations of one file content.
+#[derive(Default)]
+struct FileDecls {
+    /// Each declaration looked up so far, with its fingerprint and its
+    /// range in `calls` when it is shareable.
+    decls: Vec<(FunctionDecl, Option<PooledDecl>)>,
+    calls: Vec<Symbol>,
+}
+
+/// A shareable declaration's fingerprint and its calls' range in
+/// [`FileDecls::calls`].
+#[derive(Clone, Copy)]
+struct PooledDecl {
+    fp: u64,
+    start: u32,
+    len: u32,
+}
+
+impl FileDecls {
+    fn get(&self, decl: &FunctionDecl) -> Option<Option<SharedDecl>> {
+        let (_, pooled) = self.decls.iter().find(|(d, _)| d == decl)?;
+        Some(pooled.map(|p| SharedDecl {
+            fp: p.fp,
+            calls: self.calls[p.start as usize..(p.start + p.len) as usize].to_vec(),
+        }))
+    }
+}
+
+impl DeclCache {
+    fn get_or_compute(
+        &self,
+        file: ContentKey,
+        decl: &FunctionDecl,
+        compute: impl FnOnce() -> Option<SharedDecl>,
+    ) -> Option<SharedDecl> {
+        if let Some(found) = self.0.lock().unwrap().get(&file).and_then(|f| f.get(decl)) {
+            return found;
+        }
+        // Computed outside the lock; a racing worker computes the same.
+        let computed = compute();
+        let mut map = self.0.lock().unwrap();
+        let entry = map.entry(file).or_default();
+        if entry.get(decl).is_none() {
+            let pooled = computed.as_ref().map(|d| {
+                let start = entry.calls.len() as u32;
+                entry.calls.extend_from_slice(&d.calls);
+                PooledDecl {
+                    fp: d.fp,
+                    start,
+                    len: d.calls.len() as u32,
+                }
+            });
+            entry.decls.push((*decl, pooled));
+        }
+        computed
     }
 }
 
@@ -193,6 +293,42 @@ pub struct SharedSummary {
 /// Per-tool cache of cross-run call summaries.
 pub type SummaryCache = ArtifactCache<SummaryKey, SharedSummary>;
 
+/// What one cached analysis run consults for cross-run summaries: its
+/// tool's summary cache, the declaration memo, and the content key of each
+/// analyzed file (by path) to key that memo by.
+pub(crate) struct SharedCaches<'a> {
+    pub(crate) summaries: Arc<SummaryCache>,
+    decls: &'a DeclCache,
+    file_keys: FnvHashMap<&'a str, ContentKey>,
+}
+
+impl<'a> SharedCaches<'a> {
+    /// `file_keys` must hold the key of the very content each path's AST
+    /// was parsed from.
+    pub(crate) fn new(
+        caches: &'a EngineCaches,
+        tool: &str,
+        file_keys: FnvHashMap<&'a str, ContentKey>,
+    ) -> Self {
+        SharedCaches {
+            summaries: caches.summaries_for(tool),
+            decls: &caches.decls,
+            file_keys,
+        }
+    }
+
+    /// The summary-key facts of `decl` (handles into `a`), declared in
+    /// project file `file`: computed on the first lookup, then shared.
+    pub(crate) fn decl(&self, a: &Arena, decl: &FunctionDecl, file: &str) -> Option<SharedDecl> {
+        match self.file_keys.get(file) {
+            Some(&key) => self
+                .decls
+                .get_or_compute(key, decl, || SharedDecl::of(a, decl)),
+            None => SharedDecl::of(a, decl),
+        }
+    }
+}
+
 /// The shared caches one engine run threads through every analysis: a
 /// parse cache common to all tools, and one summary cache per tool (the
 /// tools differ in taint configuration and capability switches, so their
@@ -207,6 +343,9 @@ pub struct EngineCaches {
     /// File-level dependency graphs, keyed by project content (tool
     /// independent) — the invalidation index of the incremental path.
     depgraphs: ArtifactCache<ContentKey, DepGraph>,
+    /// Per-declaration summary-key facts, computed on the first cross-run
+    /// lookup of each declaration and reused for the cache set's lifetime.
+    decls: DeclCache,
     disk: Option<Arc<DiskCache>>,
     /// Tools whose summary cache has been warmed from disk, with the
     /// config fingerprint they were warmed under (reused at persist time).
@@ -410,14 +549,11 @@ pub struct CacheTotals {
 /// The disk key for `tool`'s summary blob: the tool name stands in for
 /// file content, hashed the same way.
 fn summary_blob_key(tool: &str) -> ContentKey {
-    ContentKey {
-        hash: fnv1a_64(tool.as_bytes()),
-        len: tool.len() as u64,
-    }
+    ContentKey::of(tool.as_bytes())
 }
 
 /// Span-insensitive fingerprint of a declaration: name, parameter list and
-/// pretty-printed body, hashed with FNV-1a.
+/// pretty-printed body, hashed with [`digest64`].
 fn fingerprint_decl(a: &Arena, decl: &FunctionDecl) -> u64 {
     let mut text = String::new();
     text.push_str(&decl.name.as_str().to_ascii_lowercase());
@@ -445,16 +581,17 @@ fn fingerprint_decl(a: &Arena, decl: &FunctionDecl) -> u64 {
         text.push(';');
     }
     text.push('}');
-    fnv1a_64(text.as_bytes())
+    digest64(text.as_bytes())
 }
 
 /// Decides whether a declaration is a *pure leaf* whose analysis result
 /// can only depend on the declaration text and the argument states.
 ///
-/// Returns the (lowercased, deduplicated) names of all functions the body
-/// calls when shareable, `None` otherwise. Rejected constructs are exactly
-/// those through which an analysis could read or write state that outlives
-/// the call frame, or reach code outside the declaration:
+/// Returns the lowercased names of all functions the body calls (interned,
+/// deduplicated, sorted by name) when shareable, `None` otherwise.
+/// Rejected constructs are exactly those through which an analysis could
+/// read or write state that outlives the call frame, or reach code outside
+/// the declaration:
 ///
 /// * `global` / `static` variable statements (cross-call stores);
 /// * property or static-property access, `new`, and method calls (the
@@ -468,13 +605,13 @@ fn fingerprint_decl(a: &Arena, decl: &FunctionDecl) -> u64 {
 /// any consumer of a summary must check that none of the names resolve to
 /// a user function in their symbol table, so only built-in/configured
 /// functions — which behave identically everywhere — are ever involved.
-pub fn shareable_calls(a: &Arena, decl: &FunctionDecl) -> Option<Vec<String>> {
+pub fn shareable_calls(a: &Arena, decl: &FunctionDecl) -> Option<Vec<Symbol>> {
     if a.params(decl.params).iter().any(|p| p.by_ref) {
         return None;
     }
     struct Purity {
         pure: bool,
-        calls: Vec<String>,
+        calls: Vec<Symbol>,
     }
     impl Visitor for Purity {
         fn visit_stmt(&mut self, a: &Arena, s: StmtId) {
@@ -503,7 +640,7 @@ pub fn shareable_calls(a: &Arena, decl: &FunctionDecl) -> Option<Vec<String>> {
                     return;
                 }
                 Expr::Call { callee, .. } => match callee {
-                    Callee::Function(name) => self.calls.push(name.as_str().to_ascii_lowercase()),
+                    Callee::Function(name) => self.calls.push(name.to_lowercase()),
                     Callee::Dynamic(_) | Callee::Method { .. } | Callee::StaticMethod { .. } => {
                         self.pure = false;
                         return;
@@ -532,7 +669,7 @@ pub fn shareable_calls(a: &Arena, decl: &FunctionDecl) -> Option<Vec<String>> {
     if !v.pure {
         return None;
     }
-    v.calls.sort();
+    v.calls.sort_by_key(|n| n.as_str());
     v.calls.dedup();
     Some(v.calls)
 }
@@ -592,7 +729,8 @@ mod tests {
     fn pure_leaf_is_shareable_and_calls_collected() {
         let (file, f) = first_fn("<?php function f($x) { return trim(strtolower($x)); }");
         let calls = shareable_calls(&file, &f).expect("pure leaf");
-        assert_eq!(calls, vec!["strtolower".to_string(), "trim".to_string()]);
+        let names: Vec<&str> = calls.iter().map(|n| n.as_str()).collect();
+        assert_eq!(names, ["strtolower", "trim"]);
     }
 
     #[test]

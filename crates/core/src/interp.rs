@@ -23,7 +23,7 @@
 //! call), and node "copies" are 8-byte id/range copies, never deep clones.
 
 use crate::analyzer::AnalyzerOptions;
-use crate::caching::{shareable_calls, SharedSummary, SummaryCache, SummaryKey};
+use crate::caching::{SharedCaches, SharedSummary, SummaryCache, SummaryKey};
 use crate::env::Env;
 use crate::explain::{TaintEvent, TaintEventKind};
 use crate::report::{numeric_intent, Vulnerability};
@@ -92,7 +92,7 @@ pub(crate) struct Interp<'a> {
     parsed: &'a HashMap<String, Arc<ParsedFile>>,
     /// Cross-run pure-leaf summaries shared through the engine caches
     /// (`None` in plain serial mode).
-    shared: Option<Arc<SummaryCache>>,
+    shared: Option<SharedCaches<'a>>,
 
     pub(crate) vulns: Vec<Vulnerability>,
     /// This analysis's taint-event stream for `--explain`; `None` when
@@ -118,7 +118,7 @@ impl<'a> Interp<'a> {
         syms: &'a SymbolTable,
         project: &'a PluginProject,
         parsed: &'a HashMap<String, Arc<ParsedFile>>,
-        shared: Option<Arc<SummaryCache>>,
+        shared: Option<SharedCaches<'a>>,
         capture: bool,
     ) -> Self {
         Interp {
@@ -1221,7 +1221,7 @@ impl<'a> Interp<'a> {
         // call (the uncalled sweep) skips the memo but may still replay a
         // shared summary: one exists only if executing the body would be
         // observationally silent anyway.
-        let mut shared_slot: Option<(Arc<SummaryCache>, SummaryKey, Vec<String>)> = None;
+        let mut shared_slot: Option<(Arc<SummaryCache>, SummaryKey, Vec<Symbol>)> = None;
         if self.opts.summaries {
             if !force {
                 if let Some(hit) = self.memo.get(&key) {
@@ -1229,25 +1229,29 @@ impl<'a> Interp<'a> {
                 }
             }
             if this_class.is_none() {
-                if let Some(cache) = self.shared.clone() {
-                    if let Some(calls) = shareable_calls(decl_ast, decl) {
-                        let skey = SummaryKey::new(decl_ast, decl, &arg_states);
-                        if let Some(sum) = cache.get(&skey) {
-                            // Replay only if the recorded built-in calls are
-                            // still unshadowed here and spending the stored
-                            // work cannot trip this entry's budget (a
-                            // borderline run executes for real instead).
-                            let applies = sum.calls.iter().all(|n| self.syms.function(n).is_none())
-                                && self.work + sum.work <= self.opts.work_limit;
-                            if applies {
-                                self.work += sum.work;
-                                let ret = VarState::clean();
-                                self.memo.insert(key, CallResult { ret: ret.clone() });
-                                return ret;
-                            }
+                let found = self.shared.as_ref().map(|shared| {
+                    (
+                        Arc::clone(&shared.summaries),
+                        shared.decl(decl_ast, decl, decl_file),
+                    )
+                });
+                if let Some((cache, Some(shareable))) = found {
+                    let skey = SummaryKey::with_fingerprint(shareable.fp, &arg_states);
+                    if let Some(sum) = cache.get(&skey) {
+                        // Replay only if the recorded built-in calls are
+                        // still unshadowed here and spending the stored
+                        // work cannot trip this entry's budget (a
+                        // borderline run executes for real instead).
+                        let applies = sum.calls.iter().all(|n| self.syms.function(n).is_none())
+                            && self.work + sum.work <= self.opts.work_limit;
+                        if applies {
+                            self.work += sum.work;
+                            let ret = VarState::clean();
+                            self.memo.insert(key, CallResult { ret: ret.clone() });
+                            return ret;
                         }
-                        shared_slot = Some((cache, skey, calls));
                     }
+                    shared_slot = Some((cache, skey, shareable.calls));
                 }
             }
         }
@@ -1289,13 +1293,15 @@ impl<'a> Interp<'a> {
                 && ret == VarState::clean()
                 && !failed_before
                 && self.failed.is_none()
-                && calls.iter().all(|n| self.syms.function(n).is_none());
+                && calls
+                    .iter()
+                    .all(|n| self.syms.function(n.as_str()).is_none());
             if inert {
                 cache.insert(
                     skey,
                     SharedSummary {
                         work: self.work - work_before,
-                        calls,
+                        calls: calls.iter().map(|n| n.as_str().to_owned()).collect(),
                     },
                 );
             }

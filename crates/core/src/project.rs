@@ -2,6 +2,7 @@
 //! PHP source files, mirroring a WordPress plugin directory, plus the
 //! filesystem loader every front end (batch CLI, daemon) shares.
 
+use phpsafe_engine::ContentKey;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -31,6 +32,11 @@ impl SourceFile {
 
 /// A plugin project: what phpSAFE receives as input.
 ///
+/// Every file's bytes are digested once, when the file is added or
+/// overlaid; the per-file [`ContentKey`]s key the parse cache, the
+/// daemon's reload diff and the project key itself, so none of them
+/// re-reads the contents.
+///
 /// # Examples
 ///
 /// ```
@@ -40,10 +46,41 @@ impl SourceFile {
 ///     .with_file(SourceFile::new("my-plugin.php", "<?php echo 'hi';"));
 /// assert_eq!(p.files().len(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PluginProject {
     name: String,
     files: Vec<SourceFile>,
+    /// `ContentKey::of` each file's content, index-aligned with `files`.
+    keys: Vec<ContentKey>,
+}
+
+/// The serialized form of a [`PluginProject`]: the per-file keys are
+/// derived data, recomputed on load rather than trusted from the input.
+#[derive(Serialize, Deserialize)]
+struct ProjectWire {
+    name: String,
+    files: Vec<SourceFile>,
+}
+
+impl Serialize for PluginProject {
+    fn serialize(&self, s: &mut serde::Serializer) {
+        ProjectWire {
+            name: self.name.clone(),
+            files: self.files.clone(),
+        }
+        .serialize(s);
+    }
+}
+
+impl Deserialize for PluginProject {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
+        let wire = ProjectWire::deserialize(v)?;
+        let mut project = PluginProject::new(wire.name);
+        for file in wire.files {
+            project.push_file(file);
+        }
+        Ok(project)
+    }
 }
 
 impl PluginProject {
@@ -52,17 +89,19 @@ impl PluginProject {
         PluginProject {
             name: name.into(),
             files: Vec::new(),
+            keys: Vec::new(),
         }
     }
 
     /// Adds a file (builder style).
     pub fn with_file(mut self, file: SourceFile) -> Self {
-        self.files.push(file);
+        self.push_file(file);
         self
     }
 
     /// Adds a file in place.
     pub fn push_file(&mut self, file: SourceFile) {
+        self.keys.push(ContentKey::of(file.content.as_bytes()));
         self.files.push(file);
     }
 
@@ -74,6 +113,12 @@ impl PluginProject {
     /// The project's files.
     pub fn files(&self) -> &[SourceFile] {
         &self.files
+    }
+
+    /// The content key of each file, index-aligned with
+    /// [`PluginProject::files`].
+    pub fn file_keys(&self) -> &[ContentKey] {
+        &self.keys
     }
 
     /// Finds a file whose path ends with `suffix` (include resolution
@@ -92,12 +137,15 @@ impl PluginProject {
     /// loading a directory where that buffer had been saved, and analysis
     /// results (which iterate files in path order) stay byte-identical.
     pub fn overlay_file(&mut self, path: &str, content: &str) {
-        if let Some(f) = self.files.iter_mut().find(|f| f.path == path) {
-            f.content = content.to_owned();
+        let key = ContentKey::of(content.as_bytes());
+        if let Some(i) = self.files.iter().position(|f| f.path == path) {
+            self.files[i].content = content.to_owned();
+            self.keys[i] = key;
             return;
         }
         let at = self.files.partition_point(|f| f.path.as_str() < path);
         self.files.insert(at, SourceFile::new(path, content));
+        self.keys.insert(at, key);
     }
 
     /// Total non-blank LOC across all files.
@@ -106,35 +154,37 @@ impl PluginProject {
     }
 
     /// A stable 64-bit fingerprint of the project contents: the name plus
-    /// every `(path, content)` pair in path order. Two projects fingerprint
-    /// equal iff an analysis cannot distinguish them, so the daemon keys
-    /// rendered responses on this.
+    /// every `(path, content key)` pair in path order. Two projects
+    /// fingerprint equal iff an analysis cannot distinguish them, so the
+    /// daemon keys rendered responses on this. Built from the per-file
+    /// keys, so it costs a pass over the paths, not over the contents.
     pub fn content_fingerprint(&self) -> u64 {
-        let mut indexed: Vec<(&str, &str)> = self
+        let mut indexed: Vec<(&str, ContentKey)> = self
             .files
             .iter()
-            .map(|f| (f.path.as_str(), f.content.as_str()))
+            .zip(&self.keys)
+            .map(|(f, &k)| (f.path.as_str(), k))
             .collect();
-        indexed.sort();
-        let mut acc = phpsafe_engine::fnv1a_64(self.name.as_bytes());
-        for (path, content) in indexed {
-            acc = phpsafe_engine::fnv1a_64_extend(acc, b"\x1e");
-            acc = phpsafe_engine::fnv1a_64_extend(acc, path.as_bytes());
-            acc = phpsafe_engine::fnv1a_64_extend(acc, b"\x1f");
-            acc = phpsafe_engine::fnv1a_64_extend(acc, content.as_bytes());
+        indexed.sort_by(|a, b| (a.0, a.1.hash, a.1.len).cmp(&(b.0, b.1.hash, b.1.len)));
+        let mut text = Vec::with_capacity(self.name.len() + indexed.len() * 48);
+        text.extend_from_slice(self.name.as_bytes());
+        for (path, key) in indexed {
+            text.push(0x1e);
+            text.extend_from_slice(path.as_bytes());
+            text.push(0x1f);
+            text.extend_from_slice(&key.hash.to_le_bytes());
+            text.extend_from_slice(&key.len.to_le_bytes());
         }
-        acc
+        phpsafe_engine::digest64(&text)
     }
 
     /// The project's [`ContentKey`]: the content fingerprint plus total
     /// content length. Persistent caches (daemon responses, dependency graphs)
     /// key project-level artifacts on this.
-    ///
-    /// [`ContentKey`]: phpsafe_engine::ContentKey
-    pub fn content_key(&self) -> phpsafe_engine::ContentKey {
-        phpsafe_engine::ContentKey {
+    pub fn content_key(&self) -> ContentKey {
+        ContentKey {
             hash: self.content_fingerprint(),
-            len: self.files.iter().map(|f| f.content.len() as u64).sum(),
+            len: self.keys.iter().map(|k| k.len).sum(),
         }
     }
 }
@@ -224,5 +274,45 @@ mod tests {
         assert_eq!(f.loc(), 2);
         let p = PluginProject::new("p").with_file(f);
         assert_eq!(p.total_loc(), 2);
+    }
+
+    #[test]
+    fn file_keys_follow_pushes_and_overlays() {
+        let mut p = PluginProject::new("p")
+            .with_file(SourceFile::new("b.php", "<?php echo 1;"))
+            .with_file(SourceFile::new("d.php", "<?php echo 2;"));
+        p.overlay_file("b.php", "<?php echo 3;");
+        p.overlay_file("c.php", "<?php echo 4;");
+        let paths: Vec<&str> = p.files().iter().map(|f| f.path.as_str()).collect();
+        assert_eq!(paths, ["b.php", "c.php", "d.php"]);
+        for (f, key) in p.files().iter().zip(p.file_keys()) {
+            assert_eq!(*key, ContentKey::of(f.content.as_bytes()), "{}", f.path);
+        }
+    }
+
+    #[test]
+    fn content_key_ignores_file_order_but_not_content() {
+        let a = PluginProject::new("p")
+            .with_file(SourceFile::new("a.php", "<?php echo 1;"))
+            .with_file(SourceFile::new("b.php", "<?php echo 2;"));
+        let b = PluginProject::new("p")
+            .with_file(SourceFile::new("b.php", "<?php echo 2;"))
+            .with_file(SourceFile::new("a.php", "<?php echo 1;"));
+        assert_eq!(a.content_key(), b.content_key());
+        let mut c = a.clone();
+        c.overlay_file("b.php", "<?php echo 3;");
+        assert_ne!(a.content_key(), c.content_key());
+        let renamed = PluginProject::new("q")
+            .with_file(SourceFile::new("a.php", "<?php echo 1;"))
+            .with_file(SourceFile::new("b.php", "<?php echo 2;"));
+        assert_ne!(a.content_key(), renamed.content_key());
+    }
+
+    #[test]
+    fn serialization_round_trips_and_rederives_keys() {
+        let p = PluginProject::new("p").with_file(SourceFile::new("a.php", "<?php echo 1;"));
+        let json = serde_json::to_string(&p).unwrap();
+        let back: PluginProject = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, p);
     }
 }

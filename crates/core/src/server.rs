@@ -4,8 +4,10 @@
 //! transport-agnostic daemon (queue, timeouts, NDJSON protocol) to the
 //! actual analyzer. It owns the long-lived [`EngineCaches`], so repeated
 //! `analyze` requests reuse parsed ASTs and call summaries: only files
-//! whose FNV content hash changed are re-parsed, and only projects whose
-//! content fingerprint changed are re-analyzed at all.
+//! whose content key changed are re-parsed, and only projects whose
+//! content fingerprint changed are re-analyzed at all. Each file is
+//! digested once per request, as it is loaded or overlaid; every key the
+//! request needs derives from those digests.
 //!
 //! Three cache tiers serve a request, fastest first:
 //!
@@ -29,7 +31,7 @@ use std::path::Path;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use phpsafe_engine::{effective_jobs, fnv1a_64, run_ordered, ContentKey};
+use phpsafe_engine::{effective_jobs, run_ordered, ContentKey};
 use phpsafe_serve::{AnalyzeRequest, InvalidateRequest, Json, RequestCtx, Service};
 
 use crate::caching::EngineCaches;
@@ -75,21 +77,22 @@ impl ServeTool for PhpSafe {
 }
 
 /// What the daemon remembers about a root it has analyzed: the project's
-/// content key (which also keys the cached dependency graph), a per-file
-/// content hash for diffing a reload, and the tools the client last ran —
+/// content key (which also keys the cached dependency graph), each file's
+/// content key for diffing a reload, and the tools the client last ran —
 /// so `invalidate` can re-warm exactly what the next `analyze` will ask.
 #[derive(Clone)]
 struct ProjectState {
     key: ContentKey,
-    file_hashes: HashMap<String, u64>,
+    file_hashes: HashMap<String, ContentKey>,
     tools: Vec<String>,
 }
 
-fn file_hashes(project: &PluginProject) -> HashMap<String, u64> {
+fn file_hashes(project: &PluginProject) -> HashMap<String, ContentKey> {
     project
         .files()
         .iter()
-        .map(|f| (f.path.clone(), fnv1a_64(f.content.as_bytes())))
+        .zip(project.file_keys())
+        .map(|(f, &key)| (f.path.clone(), key))
         .collect()
 }
 
@@ -682,6 +685,52 @@ mod tests {
         let edited = warm_server.analyze(&RequestCtx::detached(), &req).unwrap();
         assert_eq!(edited.get("fully_cached"), Some(&Json::Bool(false)));
         assert_ne!(cold.get("reports"), edited.get("reports"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn format_1_outcome_entries_are_evicted_and_reanalyzed() {
+        let dir = temp_dir("format1");
+        let plugin = dir.join("plugin");
+        write_plugin(&plugin, VULN);
+        let cache_dir = dir.join("cache");
+        let req = request(vec![plugin.display().to_string()]);
+
+        // A format-1 envelope (FNV-1a payload digest) holding a report no
+        // analysis produces, where the outcome for this project belongs.
+        let key = load_project(&plugin).unwrap().content_key();
+        let payload = br#"{"stale":true}"#;
+        let version = env!("CARGO_PKG_VERSION");
+        let mut sealed = b"PSC1".to_vec();
+        sealed.extend_from_slice(&1u32.to_le_bytes());
+        sealed.push(version.len() as u8);
+        sealed.extend_from_slice(version.as_bytes());
+        sealed.push(OUTCOME_NAMESPACE.len() as u8);
+        sealed.extend_from_slice(OUTCOME_NAMESPACE.as_bytes());
+        sealed.extend_from_slice(&PhpSafe::new().fingerprint().to_le_bytes());
+        sealed.extend_from_slice(&key.hash.to_le_bytes());
+        sealed.extend_from_slice(&key.len.to_le_bytes());
+        sealed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        sealed.extend_from_slice(&phpsafe_engine::fnv1a_64(payload).to_le_bytes());
+        sealed.extend_from_slice(payload);
+        let ns = cache_dir.join(OUTCOME_NAMESPACE);
+        std::fs::create_dir_all(&ns).unwrap();
+        std::fs::write(
+            ns.join(format!("{:016x}-{:x}.psc", key.hash, key.len)),
+            &sealed,
+        )
+        .unwrap();
+
+        let disk = Arc::new(phpsafe_engine::DiskCache::open(&cache_dir).unwrap());
+        let server = AnalysisServer::with_caches(EngineCaches::with_disk(Arc::clone(&disk)));
+        let reply = server.analyze(&RequestCtx::detached(), &req).unwrap();
+        assert_eq!(reply.get("fully_cached"), Some(&Json::Bool(false)));
+        let c = disk.counters();
+        assert_eq!((c.evicted, c.corrupt), (1, 0), "{c:?}");
+        let cold = AnalysisServer::new()
+            .analyze(&RequestCtx::detached(), &req)
+            .unwrap();
+        assert_eq!(reply.get("reports"), cold.get("reports"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -9,8 +9,8 @@
 //!
 //! The cache never trusts its own files. Every entry is wrapped in a
 //! versioned envelope carrying the format version, the writing crate's
-//! version, the caller's configuration fingerprint, the content key and an
-//! FNV-1a digest of the payload. A [`DiskCache::load`] is one buffered
+//! version, the caller's configuration fingerprint, the content key and a
+//! [`digest64`] of the payload. A [`DiskCache::load`] is one buffered
 //! read of the entry file, and it re-validates all of them:
 //!
 //! * a **stale** entry (format/crate-version/fingerprint/key mismatch) is
@@ -27,7 +27,7 @@
 //! directory and `rename`d into place, so concurrent readers and a crashed
 //! writer can never observe a half-written entry.
 
-use crate::hash::{fnv1a_64, ContentKey};
+use crate::hash::{digest64, ContentKey};
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -38,7 +38,9 @@ use std::sync::Mutex;
 const MAGIC: &[u8; 4] = b"PSC1";
 
 /// Bumped whenever the envelope layout changes; older entries are evicted.
-const FORMAT_VERSION: u32 = 1;
+// 2: the payload digest is `digest64`, no longer FNV-1a; every key and
+//    fingerprint written under 1 was derived with FNV-1a as well.
+const FORMAT_VERSION: u32 = 2;
 
 /// Version of the writing crate; payload encodings may change between
 /// releases without bumping [`FORMAT_VERSION`], so entries written by a
@@ -353,7 +355,7 @@ fn seal_envelope(ns: &str, key: ContentKey, fingerprint: u64, payload: &[u8]) ->
     out.extend_from_slice(&key.hash.to_le_bytes());
     out.extend_from_slice(&key.len.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a_64(payload).to_le_bytes());
+    out.extend_from_slice(&digest64(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -428,7 +430,7 @@ fn validate_envelope<'a>(
     if c.at != bytes.len() {
         return Err(Corrupt("trailing bytes"));
     }
-    if fnv1a_64(payload) != digest {
+    if digest64(payload) != digest {
         return Err(Corrupt("payload digest mismatch"));
     }
     Ok(payload)
@@ -536,6 +538,38 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn version_1_entry_is_evicted_as_stale() {
+        let cache = DiskCache::open(tmp_root("v1")).unwrap();
+        let key = ContentKey::of(b"src7");
+        let payload = b"written by a format-1 build";
+        // The format-1 layout: FNV-1a payload digest, version word 1.
+        let mut sealed = Vec::new();
+        sealed.extend_from_slice(MAGIC);
+        sealed.extend_from_slice(&1u32.to_le_bytes());
+        sealed.push(CRATE_VERSION.len() as u8);
+        sealed.extend_from_slice(CRATE_VERSION.as_bytes());
+        sealed.push(3);
+        sealed.extend_from_slice(b"ast");
+        sealed.extend_from_slice(&0u64.to_le_bytes());
+        sealed.extend_from_slice(&key.hash.to_le_bytes());
+        sealed.extend_from_slice(&key.len.to_le_bytes());
+        sealed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        sealed.extend_from_slice(&crate::fnv1a_64(payload).to_le_bytes());
+        sealed.extend_from_slice(payload);
+        let path = cache.entry_path("ast", key);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &sealed).unwrap();
+
+        assert_eq!(cache.load("ast", key, 0), None);
+        let c = cache.counters();
+        assert_eq!((c.evicted, c.corrupt), (1, 0), "{c:?}");
+        assert!(!path.exists(), "stale entry must be removed");
+        // The slot is free for an entry in the current format.
+        assert!(cache.store("ast", key, 0, payload));
+        assert_eq!(cache.load("ast", key, 0).as_deref(), Some(&payload[..]));
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Content hashing for cache keys.
 //!
-//! The FNV-1a implementation used to live here; it is now the shared
-//! `phpsafe-intern::fnv` module (tests included) so `core` can use the same
-//! digest — and its `BuildHasher` — without depending on the engine. This
-//! module re-exports the pieces under their historical `phpsafe_engine::`
-//! paths.
+//! The digests live in the shared `phpsafe-intern` crate so `core` can use
+//! them — and the FNV `BuildHasher` — without depending on the engine.
+//! This module re-exports them under their `phpsafe_engine::` paths.
 
-pub use phpsafe_intern::{fnv1a_64, fnv1a_64_extend, ContentKey};
+pub use phpsafe_intern::{digest64, fnv1a_64, ContentKey};

@@ -34,5 +34,5 @@ pub mod pool;
 pub use cache::{ArtifactCache, CacheCounters};
 pub use depgraph::DepGraph;
 pub use disk::{DiskCache, DiskCounters};
-pub use hash::{fnv1a_64, fnv1a_64_extend, ContentKey};
+pub use hash::{digest64, fnv1a_64, ContentKey};
 pub use pool::{effective_jobs, effective_jobs_reported, run_ordered, PoolStats};

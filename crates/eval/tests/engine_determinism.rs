@@ -7,9 +7,16 @@ use phpsafe::{explain_outcome, EngineCaches, PhpSafe};
 use phpsafe_corpus::{Corpus, Version};
 use phpsafe_engine::run_ordered;
 use phpsafe_eval::{tables, Evaluation, RecallMode};
+use std::sync::Mutex;
+
+/// Held by every test here that runs the engine pool: the pool counts
+/// into the process-wide metrics registry, so a pool run in one test
+/// would otherwise land in another test's counter deltas.
+static ENGINE: Mutex<()> = Mutex::new(());
 
 #[test]
 fn engine_is_deterministic_and_matches_serial() {
+    let _engine = ENGINE.lock().unwrap_or_else(|e| e.into_inner());
     let corpus = Corpus::generate();
     let serial = Evaluation::run_with(corpus.clone());
 
@@ -94,6 +101,7 @@ fn engine_is_deterministic_and_matches_serial() {
 /// at any worker count, equal the chains of analyzing that plugin alone.
 #[test]
 fn explain_chains_match_single_plugin_runs_at_any_worker_count() {
+    let _engine = ENGINE.lock().unwrap_or_else(|e| e.into_inner());
     let corpus = Corpus::generate();
     let tool = PhpSafe::new();
     let projects: Vec<_> = Version::ALL

@@ -1,5 +1,5 @@
-//! FNV-1a hashing: the one-shot digest used for content-derived cache keys
-//! and a [`std::hash::BuildHasher`] for hot-path maps and sets.
+//! FNV-1a hashing: a [`std::hash::BuildHasher`] for hot-path maps and sets,
+//! plus the one-shot [`fnv1a_64`] digest.
 //!
 //! Written in-crate (the container vendors no hashing crates). FNV-1a is a
 //! multiply-xor hash with good avalanche behaviour on the short keys the
@@ -17,43 +17,12 @@ const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime (64-bit).
 const PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Hashes `bytes` with 64-bit FNV-1a.
+/// Hashes `bytes` with 64-bit FNV-1a. Cache keys use the much cheaper
+/// [`crate::digest64`]; this stays for callers that need FNV-1a values.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    fnv1a_64_extend(OFFSET_BASIS, bytes)
-}
-
-/// Extends a digest with more data (order-sensitive), for keys built from
-/// several parts.
-pub fn fnv1a_64_extend(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = if seed == 0 { OFFSET_BASIS } else { seed };
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
-/// A content-derived cache key: FNV-1a digest plus input length.
-///
-/// Two sources map to the same key only if both their 64-bit digest and
-/// their byte length agree — good enough to treat "same key" as "same
-/// content" for cache purposes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ContentKey {
-    /// FNV-1a digest of the content.
-    pub hash: u64,
-    /// Content length in bytes.
-    pub len: u64,
-}
-
-impl ContentKey {
-    /// Keys the given content.
-    pub fn of(bytes: &[u8]) -> ContentKey {
-        ContentKey {
-            hash: fnv1a_64(bytes),
-            len: bytes.len() as u64,
-        }
-    }
+    let mut h = FnvHasher::default();
+    h.write(bytes);
+    h.finish()
 }
 
 /// Streaming FNV-1a [`Hasher`] for `HashMap`/`HashSet` use.
@@ -109,10 +78,6 @@ mod tests {
         let a = fnv1a_64(b"<?php echo $_GET['x'];");
         let b = fnv1a_64(b"<?php echo $_GET['x'];");
         assert_eq!(a, b);
-        assert_eq!(
-            ContentKey::of(b"<?php echo $_GET['x'];"),
-            ContentKey::of(b"<?php echo $_GET['x'];")
-        );
     }
 
     #[test]
@@ -127,20 +92,6 @@ mod tests {
         // Standard FNV-1a test vectors.
         assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
-
-    #[test]
-    fn length_disambiguates() {
-        let short = ContentKey::of(b"ab");
-        let long = ContentKey::of(b"abab");
-        assert_ne!(short, long);
-    }
-
-    #[test]
-    fn extend_matches_oneshot() {
-        let whole = fnv1a_64(b"hello world");
-        let parts = fnv1a_64_extend(fnv1a_64(b"hello "), b"world");
-        assert_eq!(whole, parts);
     }
 
     #[test]

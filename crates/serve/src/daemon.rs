@@ -567,7 +567,11 @@ fn serve_lines(
         } else {
             daemon.handle_bytes(&line)
         };
-        writeln!(writer, "{response}")?;
+        // One write per reply: on an unbuffered socket, the response and
+        // its newline written apart would leave as two segments.
+        let mut response = response;
+        response.push('\n');
+        writer.write_all(response.as_bytes())?;
         writer.flush()?;
         if control == Control::Shutdown {
             return Ok(());
@@ -1067,6 +1071,31 @@ mod tests {
         let error = replies[2].get("error").and_then(Json::as_str).unwrap();
         assert!(error.contains("exceeds"), "{error}");
         assert_eq!(replies[3].get("ok"), Some(&Json::Bool(true)));
+        daemon.shutdown();
+        daemon.join();
+    }
+
+    #[test]
+    fn an_8_mib_buffer_string_is_answered_promptly() {
+        let daemon = Daemon::start(Mock::fast(), ServerConfig::default());
+        let body = "<?php echo \\\"é\\\";\\n".repeat((8 << 20) / 20 + 1);
+        let valid =
+            format!(r#"{{"cmd":"analyze","paths":["p"],"buffers":{{"p/a.php":"{body}"}},"id":1}}"#);
+        let bad_escape =
+            format!(r#"{{"cmd":"analyze","paths":["p"],"buffers":{{"p/a.php":"{body}\q"}}}}"#);
+        assert!(body.len() >= 8 << 20);
+        for (request, code) in [(valid, None), (bad_escape, Some(400.0))] {
+            let (tx, rx) = mpsc::channel();
+            let worker = Arc::clone(&daemon);
+            std::thread::spawn(move || {
+                let _ = tx.send(worker.handle_line(&request).0);
+            });
+            let reply = rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("an 8 MiB request must be answered within 30 s");
+            let v = parse(&reply).unwrap();
+            assert_eq!(v.get("code").and_then(Json::as_num), code, "{reply:.200}");
+        }
         daemon.shutdown();
         daemon.join();
     }

@@ -108,21 +108,32 @@ impl Json {
     }
 }
 
+/// Emits `s` as a JSON string literal. Runs of bytes that need no escape
+/// are copied whole; every byte that does is ASCII, so each run ends on a
+/// char boundary.
 fn emit_str(s: &str, out: &mut String) {
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (at, b) in s.bytes().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..at]);
+        if escaped.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escaped);
         }
+        run = at + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -136,6 +147,7 @@ const MAX_DEPTH: usize = 128;
 pub fn parse(input: &str) -> Result<Json, String> {
     let bytes = input.as_bytes();
     let mut p = Parser {
+        text: input,
         bytes,
         at: 0,
         depth: 0,
@@ -150,6 +162,7 @@ pub fn parse(input: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     at: usize,
     /// Arrays/objects currently open.
@@ -212,53 +225,51 @@ impl<'a> Parser<'a> {
         value
     }
 
+    /// Parses a string literal in one pass: each run between escapes is
+    /// copied whole. The input is a `&str`, and `"` and `\` are ASCII, so
+    /// every run is valid UTF-8 that starts and ends on char boundaries.
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.at += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.at += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.at + 1..self.at + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            // Surrogate pairs are out of scope for the
-                            // protocol; map them to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.at += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.at)),
-                    }
-                    self.at += 1;
-                }
-                Some(_) => {
-                    // Advance one UTF-8 scalar.
-                    let rest = &self.bytes[self.at..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.at += c.len_utf8();
-                }
+            let run = self.bytes[self.at..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(&self.text[self.at..self.at + run]);
+            self.at += run;
+            if self.bytes[self.at] == b'"' {
+                self.at += 1;
+                return Ok(out);
             }
+            self.at += 1;
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let hex = self
+                        .bytes
+                        .get(self.at + 1..self.at + 5)
+                        .ok_or("truncated \\u escape")?;
+                    if !hex.iter().all(u8::is_ascii_hexdigit) {
+                        return Err("bad \\u escape".into());
+                    }
+                    let hex = std::str::from_utf8(hex).expect("hex digits are ASCII");
+                    let code = u32::from_str_radix(hex, 16).expect("four hex digits");
+                    // Surrogate pairs are out of scope for the protocol;
+                    // map them to the replacement char.
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                    self.at += 4;
+                }
+                _ => return Err(format!("bad escape at byte {}", self.at)),
+            }
+            self.at += 1;
         }
     }
 
@@ -342,6 +353,13 @@ mod tests {
             r#"{"nested":{"arr":[{"k":"v"}]},"s":"q\"uo\\te\nnl"}"#,
             "{}",
             "[]",
+            // Every escape class.
+            r#"["\"","\\","\/","\b","\f","\n","\r","\t","\u0041","\u00e9","\u20ac","\ud800"]"#,
+            // Multibyte UTF-8 right next to escapes, at both ends of a run.
+            r#"{"é\n":"\"€\"","s":"日本\t語\\","e":"😀\u0001😀"}"#,
+            // Raw control bytes are passed through as they came.
+            "[\"a\u{1}b\u{1f}c\u{7f}\"]",
+            "{\"tab\tkey\":\"cr\rlf\n\"}",
         ] {
             let v = parse(src).unwrap();
             let emitted = v.emit();
@@ -396,8 +414,46 @@ mod tests {
 
     #[test]
     fn control_chars_escape() {
-        let s = Json::Str("a\u{1}b".into()).emit();
-        assert_eq!(s, "\"a\\u0001b\"");
-        assert_eq!(parse(&s).unwrap(), Json::Str("a\u{1}b".into()));
+        for (raw, emitted) in [
+            ("a\u{1}b", r#""a\u0001b""#),
+            (
+                "\u{0}\u{8}\u{b}\u{c}\u{1f}",
+                r#""\u0000\u0008\u000b\u000c\u001f""#,
+            ),
+            ("\t\n\r\"\\/", r#""\t\n\r\"\\/""#),
+            ("é\u{1}€\n😀", "\"é\\u0001€\\n😀\""),
+            ("\u{7f}", "\"\u{7f}\""),
+        ] {
+            let s = Json::Str(raw.into()).emit();
+            assert_eq!(s, emitted, "raw: {raw:?}");
+            assert_eq!(parse(&s).unwrap(), Json::Str(raw.into()), "raw: {raw:?}");
+        }
+    }
+
+    #[test]
+    fn escapes_decode_to_their_chars() {
+        let v = parse(r#"["\"\\\/\b\f\n\r\t","\u0041\u00e9\u20ac\ud800","é\"€\\😀"]"#).unwrap();
+        let want = ["\"\\/\u{8}\u{c}\n\r\t", "Aé€\u{fffd}", "é\"€\\😀"];
+        let got: Vec<&str> = v
+            .as_arr()
+            .unwrap()
+            .iter()
+            .filter_map(Json::as_str)
+            .collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn string_errors_are_reported() {
+        for src in [
+            r#""\x""#,
+            r#""\u12""#,
+            r#""\u+041""#,
+            r#""\u00g1""#,
+            r#""abc\"#,
+            r#""\"#,
+        ] {
+            assert!(parse(src).is_err(), "should reject: {src}");
+        }
     }
 }

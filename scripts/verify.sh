@@ -78,8 +78,11 @@ serve_out="$(mktemp)"
 serve_telemetry="$(mktemp)"
 trap 'rm -f "$metrics" "$taxonomy_metrics" "$serve_out" "$serve_telemetry"; rm -rf "$plugin_dir" "$serve_cache"' EXIT
 serve_plugin="$(ls -d "$plugin_dir"/2014/*/ | head -n 1)"
-printf '{"cmd":"analyze","paths":["%s"],"id":1}\n{"cmd":"invalidate","paths":["%s"],"id":2}\n{"cmd":"metrics"}\n{"cmd":"metrics","format":"prometheus"}\n{"cmd":"shutdown"}\n' \
-    "$serve_plugin" "$serve_plugin" |
+# The first analyze overlays an unsaved buffer on the plugin's main file,
+# so the release binary parses a JSON-escaped buffer and overlays it.
+serve_buffer="${serve_plugin}$(basename "$serve_plugin").php"
+printf '{"cmd":"analyze","paths":["%s"],"buffers":{"%s":"%s"},"id":1}\n{"cmd":"invalidate","paths":["%s"],"id":2}\n{"cmd":"metrics"}\n{"cmd":"metrics","format":"prometheus"}\n{"cmd":"shutdown"}\n' \
+    "$serve_plugin" "$serve_buffer" '<?php\n// unsaved \u00e9dit\necho \"<b>\" . $_GET[\"q\"];\n' "$serve_plugin" |
     cargo run -q --release --offline -p phpsafe --bin phpsafe -- \
         serve --stdio --cache-dir "$serve_cache" \
         --telemetry-out "$serve_telemetry" >"$serve_out" 2>/dev/null
@@ -91,6 +94,10 @@ sed -n 1p "$serve_out" | grep -q '"ok":true,"seq":1.*"reports"' || {
     echo "verify: daemon analyze round-trip failed or dropped the seq echo" >&2
     exit 1
 }
+if sed -n 1p "$serve_out" | grep -q '"warnings"'; then
+    echo "verify: daemon analyze did not overlay the unsaved buffer" >&2
+    exit 1
+fi
 sed -n 2p "$serve_out" | grep -q '"ok":true,"seq":2.*"projects"' || {
     echo "verify: daemon invalidate round-trip failed or dropped the seq echo" >&2
     exit 1
