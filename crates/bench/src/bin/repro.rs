@@ -16,9 +16,9 @@
 //! * `--jobs N` — worker threads for the engine scheduler (default: the
 //!   machine's available parallelism; 0 or an over-subscription clamps to
 //!   it with a warning). Results are identical at any `N`.
-//! * `--cache-dir DIR` — persist parsed ASTs and call summaries under
-//!   `DIR`; a later run with the same flag warm-starts from disk. Tables
-//!   are byte-identical either way.
+//! * `--cache-dir DIR` — persist parsed ASTs and include dependency
+//!   graphs under `DIR`; a later run of the same build with the same flag
+//!   warm-starts from disk. Tables are byte-identical either way.
 //! * `--serial` — bypass the engine entirely: one thread, no shared
 //!   caches, every tool meets every plugin cold. This is the paper's
 //!   Table III timing methodology; use it when comparing `table3` seconds.

@@ -148,11 +148,11 @@ impl PhpSafe {
 
     /// A stable 64-bit fingerprint of everything that can change this
     /// tool's output for a given input: the taint configuration, the
-    /// capability options and the tool name. Persistent caches key derived
-    /// artifacts (summary blobs, rendered daemon responses) on this, so
-    /// flipping any switch invalidates them. Computed once per tool value
-    /// (rendering the configuration is not free), and only when a cached
-    /// run or the daemon first asks for it.
+    /// capability options and the tool name. The daemon's `outcome` disk
+    /// tier keys rendered responses on this, so flipping any switch
+    /// invalidates them. Computed once per tool value (rendering the
+    /// configuration is not free), and only when the daemon first asks
+    /// for it.
     pub fn fingerprint(&self) -> u64 {
         *self.fingerprint.get_or_init(|| {
             let text = format!(
@@ -259,10 +259,7 @@ impl PhpSafe {
 
         // ---- stage 3: analysis ----
         let span_taint = phpsafe_obs::span!("analyze.taint");
-        let shared = caches.map(|c| {
-            c.warm_summaries(&self.tool_name, self.fingerprint());
-            SharedCaches::new(c, &self.tool_name, parsed_keys)
-        });
+        let shared = caches.map(|c| SharedCaches::new(c, &self.tool_name, parsed_keys));
         let mut interp = Interp::new(
             &self.config,
             &self.options,
@@ -313,7 +310,7 @@ impl PhpSafe {
         let stats = AnalysisStats {
             files_ok: reports.iter().filter(|r| r.failure.is_none()).count(),
             files_failed: reports.iter().filter(|r| r.failure.is_some()).count(),
-            loc: project.total_loc(),
+            loc: reports.iter().map(|r| r.loc).sum(),
             functions: symbols.callable_count(),
             classes: symbols.class_count(),
             uncalled_functions: uncalled.len(),

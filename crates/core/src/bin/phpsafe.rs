@@ -19,7 +19,8 @@
 //!   --no-uncalled         skip never-called functions
 //!   --trace               print data-flow traces and the span self-profile
 //!   --explain             print source→sanitizer→sink provenance chains
-//!   --cache-dir <DIR>     persistent artifact cache (warm-starts later runs)
+//!   --cache-dir <DIR>     persistent AST/depgraph cache (warm-starts later
+//!                         runs of the same build)
 //!   -h, --help            this help
 //!
 //! phpsafe serve [OPTIONS]   long-running analysis daemon (NDJSON protocol)
@@ -75,9 +76,9 @@ OPTIONS:
                         span self-profile tree to stderr
     --explain           print a source→sanitizer→sink provenance chain
                         for every reported vulnerability
-    --cache-dir <DIR>   persist parsed ASTs, call summaries and include
-                        dependency graphs under DIR so later runs (batch
-                        or daemon) warm-start from disk; only
+    --cache-dir <DIR>   persist parsed ASTs and include dependency graphs
+                        under DIR so later runs (batch or daemon) of the
+                        same build warm-start from disk; only
                         `phpsafe serve` also caches rendered reports
     -h, --help          show this help
 
@@ -482,7 +483,6 @@ fn main() -> ExitCode {
             )
         }
     });
-    caches.persist();
 
     if want_obs {
         caches.record();

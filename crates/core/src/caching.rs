@@ -14,6 +14,10 @@
 //!   function is analyzed only the first time it is called" memoization to
 //!   the whole evaluation.
 //!
+//! With a disk tier ([`EngineCaches::with_disk`]), parsed ASTs and
+//! dependency graphs also outlive the process. Summaries never reach the
+//! disk: they live as long as the cache set that holds them.
+//!
 //! Cross-run sharing is deliberately conservative so cached and uncached
 //! runs produce byte-identical reports; see [`shareable_calls`] and
 //! [`SharedSummary`] for the exact conditions.
@@ -31,18 +35,10 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Disk namespace for encoded [`ParsedFile`]s, stored in the zero-copy
-/// ZAST v2 layout ([`php_ast::zast`]). The envelope's crate version plus
-/// the layout's own magic/version words guard the format.
+/// ZAST v2 layout ([`php_ast::zast`]). The envelope's build stamp guards
+/// both the layout and the parser that produced the tree. Parsing is
+/// configuration-independent, so entries are stored under fingerprint 0.
 pub const AST_NAMESPACE: &str = "ast";
-/// Fingerprint the `ast` namespace is stored under. Parsing is
-/// configuration-independent, so this only versions the payload format.
-// 1: entries written under 0 may hold the retired PAST v1 codec.
-// 2: the lexer no longer invents a terminator for an unterminated nowdoc
-//    and reads a label-less `<<<` as `<<` `<`, so entries written under 1
-//    may hold a different tree for such malformed input.
-// 3: statements now share the parser's nesting bound, so entries written
-//    under 2 may hold a different tree for statements nested past it.
-pub const AST_FINGERPRINT: u64 = 3;
 
 /// Flags a [`DiskCache::store`] result at an engine call site. Individual
 /// failures already warn with the exact path and count into
@@ -62,18 +58,11 @@ fn note_store(stored: bool) {
     });
 }
 
-/// Disk namespace for per-tool summary blobs.
-const SUMMARY_NAMESPACE: &str = "summary";
-
 /// Disk namespace for file-level dependency graphs (see
 /// [`phpsafe_engine::DepGraph`]). Keyed by project content only: the graph
 /// is built from ASTs and the symbol table, both configuration-independent,
-/// so one entry serves every tool.
+/// so one entry, stored under fingerprint 0, serves every tool.
 const DEPGRAPH_NAMESPACE: &str = "depgraph";
-
-/// Fingerprint the `depgraph` namespace is stored under (the graph is
-/// configuration-independent, so a constant).
-const DEPGRAPH_FINGERPRINT: u64 = 0;
 
 /// A shared token-stream/AST cache: one lex + parse per distinct file
 /// content, no matter how many tools, versions or plugins present it.
@@ -118,7 +107,7 @@ impl AstCache {
     pub fn parse_keyed(&self, src: &str, key: ContentKey) -> Arc<ParsedFile> {
         let (ast, _hit) = self.cache.get_or_build(key, || {
             if let Some(disk) = &self.disk {
-                if let Some(bytes) = disk.load(AST_NAMESPACE, key, AST_FINGERPRINT) {
+                if let Some(bytes) = disk.load(AST_NAMESPACE, key, 0) {
                     match php_ast::zast::decode(&bytes) {
                         Ok(parsed) => return parsed,
                         Err(_) => disk.note_corrupt(AST_NAMESPACE, key),
@@ -127,12 +116,7 @@ impl AstCache {
             }
             let parsed = parse_tokens(tokenize(src));
             if let Some(disk) = &self.disk {
-                note_store(disk.store(
-                    AST_NAMESPACE,
-                    key,
-                    AST_FINGERPRINT,
-                    &php_ast::zast::encode_file(&parsed),
-                ));
+                note_store(disk.store(AST_NAMESPACE, key, 0, &php_ast::zast::encode_file(&parsed)));
             }
             parsed
         });
@@ -287,7 +271,7 @@ pub struct SharedSummary {
     /// Lowercased names of the functions the body calls. A consumer must
     /// re-check that none of them resolve to *its* project's user code
     /// before replaying.
-    pub calls: Vec<String>,
+    pub calls: Vec<Symbol>,
 }
 
 /// Per-tool cache of cross-run call summaries.
@@ -347,14 +331,6 @@ pub struct EngineCaches {
     /// lookup of each declaration and reused for the cache set's lifetime.
     decls: DeclCache,
     disk: Option<Arc<DiskCache>>,
-    /// Tools whose summary cache has been warmed from disk, with the
-    /// config fingerprint they were warmed under (reused at persist time).
-    warmed: Mutex<HashMap<String, u64>>,
-    /// Per-tool summary-cache generation at the last disk flush. A cache
-    /// whose generation has not moved since is skipped by
-    /// [`EngineCaches::persist`] — on a fully-cached daemon request no
-    /// summary blob is re-encoded or re-written at all.
-    persisted: Mutex<HashMap<String, u64>>,
 }
 
 impl EngineCaches {
@@ -363,10 +339,9 @@ impl EngineCaches {
         Self::default()
     }
 
-    /// Fresh caches backed by a persistent disk tier: parsed ASTs are
-    /// written through to `disk`, and per-tool summary caches are warmed
-    /// from it on first use. Call [`EngineCaches::persist`] before exit to
-    /// write the accumulated summaries back.
+    /// Fresh caches backed by a persistent disk tier: parsed ASTs and
+    /// dependency graphs are read through and written through to `disk`.
+    /// Call summaries stay in memory for the cache set's lifetime.
     pub fn with_disk(disk: Arc<DiskCache>) -> Self {
         EngineCaches {
             ast: AstCache::with_disk(Arc::clone(&disk)),
@@ -406,7 +381,7 @@ impl EngineCaches {
             return Some(g);
         }
         let disk = self.disk.as_ref()?;
-        let bytes = disk.load(DEPGRAPH_NAMESPACE, key, DEPGRAPH_FINGERPRINT)?;
+        let bytes = disk.load(DEPGRAPH_NAMESPACE, key, 0)?;
         match DepGraph::decode(&bytes) {
             Ok(g) => {
                 phpsafe_obs::count("depgraph.hits", 1);
@@ -426,88 +401,9 @@ impl EngineCaches {
         phpsafe_obs::count("depgraph.nodes", graph.node_count() as u64);
         phpsafe_obs::count("depgraph.edges", graph.edge_count() as u64);
         if let Some(disk) = &self.disk {
-            note_store(disk.store(
-                DEPGRAPH_NAMESPACE,
-                key,
-                DEPGRAPH_FINGERPRINT,
-                &graph.encode(),
-            ));
+            note_store(disk.store(DEPGRAPH_NAMESPACE, key, 0, &graph.encode()));
         }
         self.depgraphs.insert(key, graph)
-    }
-
-    /// Warms `tool`'s summary cache from the disk tier (first call per
-    /// tool only; later calls are no-ops). `fingerprint` is the tool's
-    /// configuration fingerprint — a persisted blob written under a
-    /// different one is evicted by the disk layer, and the same value is
-    /// used when persisting. Called by the analyzer on every cached run,
-    /// so CLI and daemon front ends warm identically.
-    pub fn warm_summaries(&self, tool: &str, fingerprint: u64) {
-        let mut warmed = self.warmed.lock().unwrap();
-        if warmed.contains_key(tool) {
-            return;
-        }
-        warmed.insert(tool.to_string(), fingerprint);
-        drop(warmed);
-        let Some(disk) = &self.disk else { return };
-        let key = summary_blob_key(tool);
-        let Some(bytes) = disk.load(SUMMARY_NAMESPACE, key, fingerprint) else {
-            return;
-        };
-        match crate::persist::decode_summaries(&bytes) {
-            Ok(entries) => {
-                let cache = self.summaries_for(tool);
-                for (key, summary) in entries {
-                    cache.insert(key, summary);
-                }
-                // The disk blob already covers everything just loaded, so
-                // a persist with no further inserts has nothing to write.
-                self.persisted
-                    .lock()
-                    .unwrap()
-                    .insert(tool.to_string(), cache.generation());
-            }
-            Err(_) => disk.note_corrupt(SUMMARY_NAMESPACE, key),
-        }
-    }
-
-    /// Writes every warmed tool's summary cache back to the disk tier so
-    /// the next process warm-starts from it. No-op without a disk tier.
-    pub fn persist(&self) {
-        let Some(disk) = &self.disk else { return };
-        let warmed: Vec<(String, u64)> = self
-            .warmed
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(tool, fp)| (tool.clone(), *fp))
-            .collect();
-        for (tool, fingerprint) in warmed {
-            let cache = self.summaries_for(&tool);
-            // Read the generation before snapshotting entries: an insert
-            // racing in between is then re-flushed next time rather than
-            // silently marked persisted.
-            let generation = cache.generation();
-            if self.persisted.lock().unwrap().get(&tool) == Some(&generation) {
-                continue;
-            }
-            let entries = cache.entries();
-            if entries.is_empty() {
-                continue;
-            }
-            let blob = crate::persist::encode_summaries(&entries);
-            note_store(disk.store(
-                SUMMARY_NAMESPACE,
-                summary_blob_key(&tool),
-                fingerprint,
-                &blob,
-            ));
-            // Recorded even when the store failed: store failures are
-            // already surfaced (warning + diskcache.store_failed), and
-            // retrying the full encode on every warm request would put
-            // the flush cost back on the fully-cached path.
-            self.persisted.lock().unwrap().insert(tool, generation);
-        }
     }
 
     /// Current cache totals: the shared parse cache plus every per-tool
@@ -544,12 +440,6 @@ pub struct CacheTotals {
     pub parse: CacheCounters,
     /// Per-tool summary caches, summed.
     pub summary: CacheCounters,
-}
-
-/// The disk key for `tool`'s summary blob: the tool name stands in for
-/// file content, hashed the same way.
-fn summary_blob_key(tool: &str) -> ContentKey {
-    ContentKey::of(tool.as_bytes())
 }
 
 /// Span-insensitive fingerprint of a declaration: name, parameter list and
@@ -846,92 +736,6 @@ mod tests {
         assert_eq!(*reparsed, php_ast::parse(src), "fell back to a parse");
         let c = disk2.counters();
         assert_eq!(c.corrupt, 1, "{c:?}");
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn summaries_persist_and_warm_start() {
-        use crate::{PhpSafe, PluginProject, SourceFile};
-        use phpsafe_engine::DiskCache;
-        let dir = temp_dir("summaries");
-        let plugin = PluginProject::new("p").with_file(SourceFile::new(
-            "p.php",
-            r#"<?php
-            function pad($s) { return str_pad($s, 8); }
-            echo pad("x");
-            "#,
-        ));
-        let tool = PhpSafe::new();
-        let plain = tool.analyze(&plugin);
-
-        let disk = Arc::new(DiskCache::open(&dir).unwrap());
-        let cold = EngineCaches::with_disk(Arc::clone(&disk));
-        let first = tool.analyze_with_caches(&plugin, Some(&cold));
-        assert_eq!(plain, first);
-        cold.persist();
-
-        // A fresh cache set over the same directory replays `pad`'s
-        // summary without ever analyzing the body.
-        let warm = EngineCaches::with_disk(Arc::new(DiskCache::open(&dir).unwrap()));
-        let second = tool.analyze_with_caches(&plugin, Some(&warm));
-        assert_eq!(plain, second);
-        let sums = warm.summaries_for("phpSAFE");
-        assert!(sums.counters().hits >= 1, "{:?}", sums.counters());
-
-        // A different fingerprint (other tool config) must not see them.
-        let other = PhpSafe::new()
-            .with_tool_name("phpSAFE")
-            .with_options(crate::AnalyzerOptions {
-                oop: false,
-                ..crate::AnalyzerOptions::default()
-            });
-        assert_ne!(tool.fingerprint(), other.fingerprint());
-        let strange = EngineCaches::with_disk(Arc::new(DiskCache::open(&dir).unwrap()));
-        strange.warm_summaries("phpSAFE", other.fingerprint());
-        assert!(
-            strange.summaries_for("phpSAFE").is_empty(),
-            "stale blob must be evicted, not replayed"
-        );
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn persist_skips_unchanged_summary_caches() {
-        use crate::{PhpSafe, PluginProject, SourceFile};
-        use phpsafe_engine::DiskCache;
-        let dir = temp_dir("persist-skip");
-        let plugin = PluginProject::new("p").with_file(SourceFile::new(
-            "p.php",
-            r#"<?php
-            function pad($s) { return str_pad($s, 8); }
-            echo pad("x");
-            "#,
-        ));
-        let tool = PhpSafe::new();
-
-        let disk = Arc::new(DiskCache::open(&dir).unwrap());
-        let caches = EngineCaches::with_disk(Arc::clone(&disk));
-        tool.analyze_with_caches(&plugin, Some(&caches));
-        caches.persist();
-        let after_first = disk.counters().bytes_written;
-        assert!(after_first > 0, "first persist must write the blob");
-
-        // No new summaries since the flush: nothing re-encoded, nothing
-        // re-written — the fully-cached daemon path must stay this cheap.
-        caches.persist();
-        caches.persist();
-        assert_eq!(disk.counters().bytes_written, after_first);
-
-        // A warm restart loads the blob; persisting without new inserts
-        // must also write nothing.
-        let warm = EngineCaches::with_disk(Arc::new(DiskCache::open(&dir).unwrap()));
-        tool.analyze_with_caches(&plugin, Some(&warm));
-        let disk2 = Arc::clone(warm.disk().unwrap());
-        let before = disk2.counters().bytes_written;
-        warm.persist();
-        assert_eq!(disk2.counters().bytes_written, before);
 
         let _ = std::fs::remove_dir_all(&dir);
     }

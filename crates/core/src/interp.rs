@@ -1242,7 +1242,10 @@ impl<'a> Interp<'a> {
                         // still unshadowed here and spending the stored
                         // work cannot trip this entry's budget (a
                         // borderline run executes for real instead).
-                        let applies = sum.calls.iter().all(|n| self.syms.function(n).is_none())
+                        let applies = sum
+                            .calls
+                            .iter()
+                            .all(|n| self.syms.function(n.as_str()).is_none())
                             && self.work + sum.work <= self.opts.work_limit;
                         if applies {
                             self.work += sum.work;
@@ -1301,7 +1304,7 @@ impl<'a> Interp<'a> {
                     skey,
                     SharedSummary {
                         work: self.work - work_before,
-                        calls: calls.iter().map(|n| n.as_str().to_owned()).collect(),
+                        calls,
                     },
                 );
             }

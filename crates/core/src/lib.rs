@@ -45,7 +45,6 @@ pub mod explain;
 mod html;
 mod inspect;
 mod interp;
-mod persist;
 mod project;
 mod report;
 pub mod server;

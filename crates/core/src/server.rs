@@ -19,9 +19,10 @@
 //!    across restarts.
 //! 2. **In-memory AST + summary caches**: shared across requests for the
 //!    daemon's lifetime.
-//! 3. **On-disk AST + summary tiers**: populated by prior processes (a
-//!    batch run with `--cache-dir`, or an earlier daemon); corrupt or
-//!    stale entries are evicted and counted, never trusted.
+//! 3. **On-disk AST + depgraph tiers**: populated by prior processes of
+//!    the same build (a batch run with `--cache-dir`, or an earlier
+//!    daemon); corrupt entries and entries another build wrote are
+//!    evicted and counted, never trusted.
 //!
 //! Tools are pluggable through [`ServeTool`] so evaluation harnesses can
 //! register the RIPS/Pixy baselines next to the default phpSAFE instance.
@@ -44,8 +45,8 @@ pub const OUTCOME_NAMESPACE: &str = "outcome";
 
 /// An analysis tool the daemon can dispatch to.
 pub trait ServeTool: Send + Sync {
-    /// Configuration fingerprint; guards the rendered-outcome cache the
-    /// same way analyzer fingerprints guard the summary cache.
+    /// Configuration fingerprint; guards the rendered-outcome cache
+    /// against a change of taint configuration or analyzer options.
     fn fingerprint(&self) -> u64;
 
     /// Analyzes one project, sharing the daemon's caches.
@@ -137,7 +138,7 @@ impl AnalysisServer {
         self
     }
 
-    /// The shared caches (for persistence flushes and stats).
+    /// The shared caches (for stats).
     pub fn caches(&self) -> &EngineCaches {
         &self.caches
     }
@@ -336,10 +337,6 @@ impl Service for AnalysisServer {
             reports[pi][ti] = Some(report);
         }
         ctx.mark("analyze_us", stage.elapsed());
-        // Flush fresh summaries so the next process warm-starts too.
-        let stage = Instant::now();
-        self.caches.persist();
-        ctx.mark("persist_us", stage.elapsed());
         let totals_after = self.caches.totals();
         let tier_hits = (totals_after.parse.hits + totals_after.summary.hits)
             .saturating_sub(totals_before.parse.hits + totals_before.summary.hits);
@@ -498,7 +495,6 @@ impl Service for AnalysisServer {
                 ("reanalyzed".to_owned(), Json::Bool(reanalyzed)),
             ]));
         }
-        self.caches.persist();
         ctx.mark_count("dirty_files", total_dirty);
         ctx.mark("invalidate_us", t0.elapsed());
         Ok(Json::Obj(vec![
@@ -643,7 +639,7 @@ mod tests {
         let marks: Vec<&str> = ctx.marks().iter().map(|(name, _)| *name).collect();
         assert_eq!(
             marks,
-            ["load_us", "cache_probe_us", "analyze_us", "persist_us"],
+            ["load_us", "cache_probe_us", "analyze_us"],
             "every pipeline stage must leave a mark"
         );
         let key = ctx.content_key().expect("content key recorded");
@@ -689,29 +685,29 @@ mod tests {
     }
 
     #[test]
-    fn format_1_outcome_entries_are_evicted_and_reanalyzed() {
-        let dir = temp_dir("format1");
+    fn parent_layout_outcome_entries_are_evicted_and_reanalyzed() {
+        let dir = temp_dir("parent-layout");
         let plugin = dir.join("plugin");
         write_plugin(&plugin, VULN);
         let cache_dir = dir.join("cache");
         let req = request(vec![plugin.display().to_string()]);
 
-        // A format-1 envelope (FNV-1a payload digest) holding a report no
-        // analysis produces, where the outcome for this project belongs.
+        // An envelope in the layout before the build stamp (format word 2,
+        // crate version `0.1.0`) holding a report no analysis produces,
+        // where the outcome for this project belongs.
         let key = load_project(&plugin).unwrap().content_key();
         let payload = br#"{"stale":true}"#;
-        let version = env!("CARGO_PKG_VERSION");
         let mut sealed = b"PSC1".to_vec();
-        sealed.extend_from_slice(&1u32.to_le_bytes());
-        sealed.push(version.len() as u8);
-        sealed.extend_from_slice(version.as_bytes());
+        sealed.extend_from_slice(&2u32.to_le_bytes());
+        sealed.push(5);
+        sealed.extend_from_slice(b"0.1.0");
         sealed.push(OUTCOME_NAMESPACE.len() as u8);
         sealed.extend_from_slice(OUTCOME_NAMESPACE.as_bytes());
         sealed.extend_from_slice(&PhpSafe::new().fingerprint().to_le_bytes());
         sealed.extend_from_slice(&key.hash.to_le_bytes());
         sealed.extend_from_slice(&key.len.to_le_bytes());
         sealed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        sealed.extend_from_slice(&phpsafe_engine::fnv1a_64(payload).to_le_bytes());
+        sealed.extend_from_slice(&phpsafe_engine::digest64(payload).to_le_bytes());
         sealed.extend_from_slice(payload);
         let ns = cache_dir.join(OUTCOME_NAMESPACE);
         std::fs::create_dir_all(&ns).unwrap();
@@ -727,6 +723,64 @@ mod tests {
         assert_eq!(reply.get("fully_cached"), Some(&Json::Bool(false)));
         let c = disk.counters();
         assert_eq!((c.evicted, c.corrupt), (1, 0), "{c:?}");
+        let cold = AnalysisServer::new()
+            .analyze(&RequestCtx::detached(), &req)
+            .unwrap();
+        assert_eq!(reply.get("reports"), cold.get("reports"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every `.psc` entry under `root`.
+    fn entries(root: &Path) -> Vec<std::path::PathBuf> {
+        let mut out = Vec::new();
+        for ns in std::fs::read_dir(root).unwrap() {
+            for f in std::fs::read_dir(ns.unwrap().path()).unwrap() {
+                out.push(f.unwrap().path());
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn entries_another_build_wrote_never_answer() {
+        let dir = temp_dir("other-build");
+        let plugin = dir.join("plugin");
+        write_plugin(&plugin, VULN);
+        let cache_dir = dir.join("cache");
+        let req = request(vec![plugin.display().to_string()]);
+        let open = || Arc::new(phpsafe_engine::DiskCache::open(&cache_dir).unwrap());
+        AnalysisServer::with_caches(EngineCaches::with_disk(open()))
+            .analyze(&RequestCtx::detached(), &req)
+            .unwrap();
+
+        // Another build's entries differ from this build's only in the
+        // stamp that follows the magic.
+        let written = entries(&cache_dir);
+        let mut namespaces: Vec<_> = written
+            .iter()
+            .map(|p| p.parent().unwrap().file_name().unwrap().to_owned())
+            .collect();
+        namespaces.dedup();
+        assert_eq!(
+            namespaces.len(),
+            3,
+            "ast, depgraph and outcome: {written:?}"
+        );
+        for path in &written {
+            let mut bytes = std::fs::read(path).unwrap();
+            for b in &mut bytes[4..12] {
+                *b ^= 0x5a;
+            }
+            std::fs::write(path, bytes).unwrap();
+        }
+
+        let disk = open();
+        let server = AnalysisServer::with_caches(EngineCaches::with_disk(Arc::clone(&disk)));
+        let reply = server.analyze(&RequestCtx::detached(), &req).unwrap();
+        assert_eq!(reply.get("fully_cached"), Some(&Json::Bool(false)));
+        let c = disk.counters();
+        assert_eq!(c.hits, 0, "{c:?}");
+        assert_eq!((c.evicted, c.corrupt), (written.len() as u64, 0), "{c:?}");
         let cold = AnalysisServer::new()
             .analyze(&RequestCtx::detached(), &req)
             .unwrap();

@@ -49,7 +49,6 @@ pub struct ArtifactCache<K, V> {
     map: Mutex<FnvHashMap<K, Arc<V>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    generation: AtomicU64,
 }
 
 impl<K: Eq + Hash, V> Default for ArtifactCache<K, V> {
@@ -64,7 +63,6 @@ impl<K: Eq + Hash, V> ArtifactCache<K, V> {
             map: Mutex::new(FnvHashMap::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            generation: AtomicU64::new(0),
         }
     }
 
@@ -85,10 +83,7 @@ impl<K: Eq + Hash, V> ArtifactCache<K, V> {
         let mut map = self.map.lock().unwrap();
         match map.entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => e.get().clone(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                self.generation.fetch_add(1, Ordering::Relaxed);
-                e.insert(Arc::new(value)).clone()
-            }
+            std::collections::hash_map::Entry::Vacant(e) => e.insert(Arc::new(value)).clone(),
         }
     }
 
@@ -103,34 +98,12 @@ impl<K: Eq + Hash, V> ArtifactCache<K, V> {
         (self.insert(key, built), false)
     }
 
-    /// Monotonic count of entries ever stored. Two equal readings with no
-    /// intervening `insert` guarantee identical contents, so persistence
-    /// layers can skip re-serializing a cache that has not grown.
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Relaxed)
-    }
-
     /// Current counter snapshot.
     pub fn counters(&self) -> CacheCounters {
         CacheCounters {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
         }
-    }
-
-    /// Clones out the current `(key, artifact)` pairs. Used by the
-    /// persistence layer to serialize a cache; the lock is held only for
-    /// the copy, never during encoding.
-    pub fn entries(&self) -> Vec<(K, Arc<V>)>
-    where
-        K: Clone,
-    {
-        self.map
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
     }
 
     /// Number of stored artifacts.
@@ -180,21 +153,6 @@ mod tests {
         assert!(!hit_a);
         assert!(hit_b);
         assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
-    fn generation_moves_only_on_new_entries() {
-        let cache: ArtifactCache<u64, u64> = ArtifactCache::new();
-        assert_eq!(cache.generation(), 0);
-        cache.insert(1, 10);
-        cache.insert(2, 20);
-        assert_eq!(cache.generation(), 2);
-        cache.insert(1, 99); // duplicate key: first writer wins, no growth
-        cache.get(&1);
-        cache.get(&404);
-        assert_eq!(cache.generation(), 2);
-        cache.get_or_build(3, || 30);
-        assert_eq!(cache.generation(), 3);
     }
 
     #[test]

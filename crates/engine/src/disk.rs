@@ -2,26 +2,31 @@
 //!
 //! [`DiskCache`] is the durable tier behind the in-memory
 //! [`ArtifactCache`](crate::ArtifactCache)s: artifacts (serialized ASTs,
-//! call-summary blobs, rendered analysis outcomes) survive the process, so
+//! dependency graphs, rendered analysis outcomes) survive the process, so
 //! a fresh daemon — or a batch CLI run pointed at the same `--cache-dir` —
 //! warm-starts from a prior run instead of repaying the full parse/analyze
 //! cost.
 //!
-//! The cache never trusts its own files. Every entry is wrapped in a
-//! versioned envelope carrying the format version, the writing crate's
-//! version, the caller's configuration fingerprint, the content key and a
-//! [`digest64`] of the payload. A [`DiskCache::load`] is one buffered
-//! read of the entry file, and it re-validates all of them:
+//! The cache never trusts its own files. Every entry is wrapped in an
+//! envelope carrying the stamp of the build that wrote it, the namespace,
+//! the caller's configuration fingerprint, the content key and a
+//! [`digest64`] of the payload. The stamp hashes every source file of the
+//! workspace (see `build.rs`), so a build with any code change never reads
+//! another build's entries. A [`DiskCache::load`] is one buffered read of
+//! the entry file, and it re-validates every field:
 //!
-//! * a **stale** entry (format/crate-version/fingerprint/key mismatch) is
+//! * a **stale** entry (stamp, namespace or fingerprint mismatch) is
 //!   evicted — counted in `diskcache.evicted` with a log line;
-//! * a **corrupt** entry (truncation, bad magic, digest mismatch) is
-//!   removed — counted in `diskcache.corrupt` with a log line;
+//! * a **corrupt** entry (truncation, bad magic, key or digest mismatch)
+//!   is removed — counted in `diskcache.corrupt` with a log line;
 //!
 //! and either way the load reports a miss, so the caller falls back to
 //! re-parsing/re-analyzing. Decoding failures *above* the envelope (the
 //! payload bytes don't deserialize) are reported back through
 //! [`DiskCache::note_corrupt`] and handled the same way.
+//! [`DiskCache::open`] sweeps the directory once, removing every entry
+//! whose magic or stamp is not this build's; the load-time check stays,
+//! because another process may write while this one runs.
 //!
 //! Stores are atomic: the entry is written to a temporary file in the same
 //! directory and `rename`d into place, so concurrent readers and a crashed
@@ -29,7 +34,7 @@
 
 use crate::hash::{digest64, ContentKey};
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -37,15 +42,13 @@ use std::sync::Mutex;
 /// Magic bytes opening every cache entry.
 const MAGIC: &[u8; 4] = b"PSC1";
 
-/// Bumped whenever the envelope layout changes; older entries are evicted.
-// 2: the payload digest is `digest64`, no longer FNV-1a; every key and
-//    fingerprint written under 1 was derived with FNV-1a as well.
-const FORMAT_VERSION: u32 = 2;
+// `BUILD_STAMP`: the hash of every workspace source file, written by
+// `build.rs`. It follows the magic at a fixed offset, so an entry in any
+// earlier layout reads as another build's (stale), never as corrupt.
+include!(concat!(env!("OUT_DIR"), "/build_stamp.rs"));
 
-/// Version of the writing crate; payload encodings may change between
-/// releases without bumping [`FORMAT_VERSION`], so entries written by a
-/// different build are evicted wholesale.
-const CRATE_VERSION: &str = env!("CARGO_PKG_VERSION");
+/// Length of the head every entry opens with: the magic and the stamp.
+const HEAD_LEN: usize = MAGIC.len() + 8;
 
 /// Snapshot of a disk cache's operation counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -59,8 +62,8 @@ pub struct DiskCounters {
     /// Entries dropped because the envelope or payload failed its digest
     /// or structural check.
     pub corrupt: u64,
-    /// Entries dropped because the format version, crate version or
-    /// configuration fingerprint no longer matches.
+    /// Entries dropped because another build wrote them, or because the
+    /// namespace or configuration fingerprint no longer matches.
     pub evicted: u64,
     /// Envelope bytes read from disk (all successful reads, including
     /// entries later dropped as stale/corrupt).
@@ -75,8 +78,8 @@ pub struct DiskCounters {
 /// A persistent, content-addressed artifact store rooted at one directory.
 ///
 /// Entries live under `<root>/<namespace>/<hash>-<len>.psc`; the namespace
-/// separates artifact kinds (`"ast"`, `"summary"`, `"outcome"`,
-/// `"depgraph"`) that share a content key space. All operations are infallible at the API level:
+/// separates artifact kinds (`"ast"`, `"depgraph"`, `"outcome"`) that
+/// share a content key space. All operations are infallible at the API level:
 /// I/O errors degrade to misses (with a warning on stderr), never into the
 /// analysis result.
 pub struct DiskCache {
@@ -90,23 +93,23 @@ pub struct DiskCache {
     bytes_written: AtomicU64,
     store_failed: AtomicU64,
     tmp_seq: AtomicU64,
-    /// Bytes on disk per namespace, seeded by a directory scan at open
-    /// and maintained on every store/evict; published as the
+    /// Bytes on disk per namespace, seeded by the sweep at open and
+    /// maintained on every store/evict; published as the
     /// `diskcache.bytes_on_disk.<ns>` gauge family — the bookkeeping a
     /// size-bounded eviction policy needs.
     ns_bytes: Mutex<HashMap<String, u64>>,
 }
 
 impl DiskCache {
-    /// Opens (creating if needed) a cache rooted at `root`.
+    /// Opens (creating if needed) a cache rooted at `root`, and sweeps it:
+    /// every entry whose magic or stamp is not this build's is removed and
+    /// counted (`diskcache.evicted`, or `diskcache.corrupt` when it is too
+    /// damaged to carry a stamp), and the surviving bytes seed the
+    /// `diskcache.bytes_on_disk.<ns>` gauges.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<DiskCache> {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
-        let ns_bytes = scan_ns_bytes(&root);
-        for (ns, total) in &ns_bytes {
-            phpsafe_obs::gauge(&format!("diskcache.bytes_on_disk.{ns}"), *total);
-        }
-        Ok(DiskCache {
+        let cache = DiskCache {
             root,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -117,8 +120,59 @@ impl DiskCache {
             bytes_written: AtomicU64::new(0),
             store_failed: AtomicU64::new(0),
             tmp_seq: AtomicU64::new(0),
-            ns_bytes: Mutex::new(ns_bytes),
-        })
+            ns_bytes: Mutex::new(HashMap::new()),
+        };
+        cache.sweep();
+        Ok(cache)
+    }
+
+    /// Removes every entry another build wrote and records what is left
+    /// per namespace. A namespace directory the sweep empties is removed
+    /// too, so a dead namespace disappears with its entries.
+    fn sweep(&self) {
+        let Ok(dirs) = std::fs::read_dir(&self.root) else {
+            return;
+        };
+        let mut swept = 0u64;
+        let mut ns_bytes = HashMap::new();
+        for ns_dir in dirs.flatten() {
+            let path = ns_dir.path();
+            let Ok(ns) = ns_dir.file_name().into_string() else {
+                continue;
+            };
+            let Ok(files) = std::fs::read_dir(&path) else {
+                continue;
+            };
+            let (mut total, mut removed) = (0u64, 0u64);
+            for f in files.flatten() {
+                let p = f.path();
+                if p.extension().is_none_or(|e| e != "psc") {
+                    continue;
+                }
+                // An entry unreadable now is left for a load to report.
+                if let Ok(Err(fault)) = read_head(&p).map(|head| check_head(&head)) {
+                    self.count_fault(&fault);
+                    if std::fs::remove_file(&p).is_ok() {
+                        removed += 1;
+                        continue;
+                    }
+                }
+                total += f.metadata().map(|m| m.len()).unwrap_or(0);
+            }
+            swept += removed;
+            if total == 0 && removed > 0 && std::fs::remove_dir(&path).is_ok() {
+                continue;
+            }
+            phpsafe_obs::gauge(&format!("diskcache.bytes_on_disk.{ns}"), total);
+            ns_bytes.insert(ns, total);
+        }
+        if swept > 0 {
+            eprintln!(
+                "phpsafe: note: removed {swept} stale or damaged cache entries under {}",
+                self.root.display()
+            );
+        }
+        *self.ns_bytes.lock().unwrap() = ns_bytes;
     }
 
     /// The cache's root directory.
@@ -141,7 +195,7 @@ impl DiskCache {
     }
 
     /// Bytes currently on disk per namespace, sorted by namespace. Seeded
-    /// by the open-time scan and maintained on store/evict; concurrent
+    /// by the sweep at open and maintained on store/evict; concurrent
     /// external writers can skew it until the next open.
     pub fn bytes_on_disk(&self) -> Vec<(String, u64)> {
         let map = self.ns_bytes.lock().unwrap();
@@ -276,8 +330,9 @@ impl DiskCache {
         );
     }
 
-    fn drop_entry(&self, path: &Path, fault: EntryFault) {
-        let what = match fault {
+    /// Counts a dropped entry as corrupt or evicted; returns the reason.
+    fn count_fault(&self, fault: &EntryFault) -> &'static str {
+        match *fault {
             EntryFault::Corrupt(why) => {
                 self.corrupt.fetch_add(1, Ordering::Relaxed);
                 phpsafe_obs::count("diskcache.corrupt", 1);
@@ -288,7 +343,11 @@ impl DiskCache {
                 phpsafe_obs::count("diskcache.evicted", 1);
                 why
             }
-        };
+        }
+    }
+
+    fn drop_entry(&self, path: &Path, fault: EntryFault) {
+        let what = self.count_fault(&fault);
         eprintln!(
             "phpsafe: warning: dropping cache entry {} ({what}); falling back to re-analysis",
             path.display()
@@ -306,49 +365,28 @@ impl DiskCache {
     }
 }
 
-/// Sums the `.psc` entry sizes under every namespace directory of `root`.
-fn scan_ns_bytes(root: &Path) -> HashMap<String, u64> {
-    let mut out = HashMap::new();
-    let Ok(entries) = std::fs::read_dir(root) else {
-        return out;
-    };
-    for ns_dir in entries.flatten() {
-        let path = ns_dir.path();
-        if !path.is_dir() {
-            continue;
-        }
-        let Ok(ns) = ns_dir.file_name().into_string() else {
-            continue;
-        };
-        let mut total = 0u64;
-        if let Ok(files) = std::fs::read_dir(&path) {
-            for f in files.flatten() {
-                let p = f.path();
-                if p.extension().is_some_and(|e| e == "psc") {
-                    total += f.metadata().map(|m| m.len()).unwrap_or(0);
-                }
-            }
-        }
-        out.insert(ns, total);
-    }
-    out
+/// The first [`HEAD_LEN`] bytes of an entry file, or all of a shorter one.
+fn read_head(path: &Path) -> io::Result<Vec<u8>> {
+    let mut head = Vec::with_capacity(HEAD_LEN);
+    std::fs::File::open(path)?
+        .take(HEAD_LEN as u64)
+        .read_to_end(&mut head)?;
+    Ok(head)
 }
 
 /// Why an entry was dropped.
 enum EntryFault {
     /// The bytes are damaged (truncation, bad magic, digest mismatch).
     Corrupt(&'static str),
-    /// The bytes are intact but written under a different format/crate
-    /// version or configuration fingerprint.
+    /// The bytes are intact but written by another build, or under a
+    /// different namespace or configuration fingerprint.
     Stale(&'static str),
 }
 
 fn seal_envelope(ns: &str, key: ContentKey, fingerprint: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 64 + ns.len() + CRATE_VERSION.len());
+    let mut out = Vec::with_capacity(payload.len() + 64 + ns.len());
     out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.push(CRATE_VERSION.len() as u8);
-    out.extend_from_slice(CRATE_VERSION.as_bytes());
+    out.extend_from_slice(&BUILD_STAMP.to_le_bytes());
     out.push(ns.len() as u8);
     out.extend_from_slice(ns.as_bytes());
     out.extend_from_slice(&fingerprint.to_le_bytes());
@@ -381,17 +419,24 @@ impl<'a> Cursor<'a> {
         Ok(slice)
     }
 
-    fn take_u32(&mut self) -> Result<u32, EntryFault> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
     fn take_u64(&mut self) -> Result<u64, EntryFault> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
         ))
     }
+}
+
+/// Checks the head every entry opens with: the magic, then the stamp of
+/// the build that wrote it.
+fn check_head(bytes: &[u8]) -> Result<(), EntryFault> {
+    let mut c = Cursor { bytes, at: 0 };
+    if c.take(MAGIC.len())? != MAGIC {
+        return Err(EntryFault::Corrupt("bad magic"));
+    }
+    if c.take_u64()? != BUILD_STAMP {
+        return Err(EntryFault::Stale("written by another build"));
+    }
+    Ok(())
 }
 
 /// Checks every field of the envelope; returns the payload slice on
@@ -403,17 +448,11 @@ fn validate_envelope<'a>(
     fingerprint: u64,
 ) -> Result<&'a [u8], EntryFault> {
     use EntryFault::{Corrupt, Stale};
-    let mut c = Cursor { bytes, at: 0 };
-    if c.take(4)? != MAGIC {
-        return Err(Corrupt("bad magic"));
-    }
-    if c.take_u32()? != FORMAT_VERSION {
-        return Err(Stale("format version mismatch"));
-    }
-    let ver_len = c.take(1)?[0] as usize;
-    if c.take(ver_len)? != CRATE_VERSION.as_bytes() {
-        return Err(Stale("crate version mismatch"));
-    }
+    check_head(bytes)?;
+    let mut c = Cursor {
+        bytes,
+        at: HEAD_LEN,
+    };
     let ns_len = c.take(1)?[0] as usize;
     if c.take(ns_len)? != ns.as_bytes() {
         return Err(Stale("namespace mismatch"));
@@ -466,13 +505,13 @@ mod tests {
     fn fingerprint_mismatch_evicts() {
         let cache = DiskCache::open(tmp_root("fp")).unwrap();
         let key = ContentKey::of(b"src");
-        cache.store("summary", key, 1, b"old-config");
-        assert_eq!(cache.load("summary", key, 2), None);
+        cache.store("outcome", key, 1, b"old-config");
+        assert_eq!(cache.load("outcome", key, 2), None);
         assert_eq!(cache.counters().evicted, 1);
         // The stale entry is gone — a store under the new fingerprint wins.
-        cache.store("summary", key, 2, b"new-config");
+        cache.store("outcome", key, 2, b"new-config");
         assert_eq!(
-            cache.load("summary", key, 2).as_deref(),
+            cache.load("outcome", key, 2).as_deref(),
             Some(&b"new-config"[..])
         );
     }
@@ -540,28 +579,32 @@ mod tests {
         }
     }
 
-    #[test]
-    fn version_1_entry_is_evicted_as_stale() {
-        let cache = DiskCache::open(tmp_root("v1")).unwrap();
-        let key = ContentKey::of(b"src7");
-        let payload = b"written by a format-1 build";
-        // The format-1 layout: FNV-1a payload digest, version word 1.
-        let mut sealed = Vec::new();
-        sealed.extend_from_slice(MAGIC);
-        sealed.extend_from_slice(&1u32.to_le_bytes());
-        sealed.push(CRATE_VERSION.len() as u8);
-        sealed.extend_from_slice(CRATE_VERSION.as_bytes());
-        sealed.push(3);
-        sealed.extend_from_slice(b"ast");
-        sealed.extend_from_slice(&0u64.to_le_bytes());
+    /// An entry in the layout of the build before the stamp: format word
+    /// 2 and crate version `0.1.0` where the stamp now sits.
+    fn parent_layout(ns: &str, key: ContentKey, fingerprint: u64, payload: &[u8]) -> Vec<u8> {
+        let mut sealed = MAGIC.to_vec();
+        sealed.extend_from_slice(&2u32.to_le_bytes());
+        sealed.push(5);
+        sealed.extend_from_slice(b"0.1.0");
+        sealed.push(ns.len() as u8);
+        sealed.extend_from_slice(ns.as_bytes());
+        sealed.extend_from_slice(&fingerprint.to_le_bytes());
         sealed.extend_from_slice(&key.hash.to_le_bytes());
         sealed.extend_from_slice(&key.len.to_le_bytes());
         sealed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        sealed.extend_from_slice(&crate::fnv1a_64(payload).to_le_bytes());
+        sealed.extend_from_slice(&digest64(payload).to_le_bytes());
         sealed.extend_from_slice(payload);
+        sealed
+    }
+
+    #[test]
+    fn parent_layout_entry_is_evicted_as_stale() {
+        let cache = DiskCache::open(tmp_root("v2")).unwrap();
+        let key = ContentKey::of(b"src7");
+        let payload = b"written by the build before the stamp";
         let path = cache.entry_path("ast", key);
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &sealed).unwrap();
+        std::fs::write(&path, parent_layout("ast", key, 0, payload)).unwrap();
 
         assert_eq!(cache.load("ast", key, 0), None);
         let c = cache.counters();
@@ -570,6 +613,40 @@ mod tests {
         // The slot is free for an entry in the current format.
         assert!(cache.store("ast", key, 0, payload));
         assert_eq!(cache.load("ast", key, 0).as_deref(), Some(&payload[..]));
+    }
+
+    #[test]
+    fn open_sweeps_entries_another_build_wrote() {
+        let root = tmp_root("sweep");
+        let key = ContentKey::of(b"src8");
+        // A dead namespace's blob, and an entry under a key no current
+        // code computes, both in the parent's layout.
+        for (ns, name) in [
+            ("summary", "0123456789abcdef-7.psc"),
+            ("ast", "fedcba9876543210-3.psc"),
+        ] {
+            std::fs::create_dir_all(root.join(ns)).unwrap();
+            std::fs::write(root.join(ns).join(name), parent_layout(ns, key, 0, b"old")).unwrap();
+        }
+        let cache = DiskCache::open(&root).unwrap();
+        let c = cache.counters();
+        assert_eq!((c.evicted, c.corrupt), (2, 0), "{c:?}");
+        assert!(cache.bytes_on_disk().is_empty());
+        assert_eq!(
+            std::fs::read_dir(&root).unwrap().count(),
+            0,
+            "root left empty"
+        );
+
+        // This build's entries survive the next sweep.
+        assert!(cache.store("depgraph", key, 0, b"current"));
+        let reopened = DiskCache::open(&root).unwrap();
+        assert_eq!(reopened.counters().evicted, 0);
+        assert_eq!(reopened.bytes_on_disk(), cache.bytes_on_disk());
+        assert_eq!(
+            reopened.load("depgraph", key, 0).as_deref(),
+            Some(&b"current"[..])
+        );
     }
 
     #[test]
@@ -598,7 +675,7 @@ mod tests {
         let cache = DiskCache::open(tmp_root("ns")).unwrap();
         let key = ContentKey::of(b"shared");
         cache.store("ast", key, 0, b"ast bytes");
-        assert_eq!(cache.load("summary", key, 0), None);
+        assert_eq!(cache.load("outcome", key, 0), None);
         assert_eq!(
             cache.load("ast", key, 0).as_deref(),
             Some(&b"ast bytes"[..])
@@ -614,11 +691,11 @@ mod tests {
         let k2 = ContentKey::of(b"two");
         cache.store("ast", k1, 0, b"payload-1");
         cache.store("ast", k2, 0, b"payload-two");
-        cache.store("summary", k1, 0, b"s");
+        cache.store("outcome", k1, 0, b"s");
         let sizes: std::collections::HashMap<String, u64> =
             cache.bytes_on_disk().into_iter().collect();
         let ast_total = sizes["ast"];
-        assert!(ast_total > 0 && sizes["summary"] > 0);
+        assert!(ast_total > 0 && sizes["outcome"] > 0);
         // Overwriting an entry swaps its size, not accumulates it.
         cache.store("ast", k1, 0, b"payload-1");
         assert_eq!(

@@ -13,8 +13,9 @@
 //! * [`cache`] + [`hash`] — content-hash-keyed artifact stores with
 //!   hit/miss counters, used by the analyzer for shared token-stream/AST
 //!   artifacts and per-tool function summaries;
-//! * [`disk`] — a persistent on-disk tier under those caches (versioned
-//!   envelopes, atomic writes, corruption-tolerant loads) so artifacts
+//! * [`disk`] — a persistent on-disk tier under those caches
+//!   (build-stamped envelopes, atomic writes, corruption-tolerant loads,
+//!   a sweep of other builds' entries at open) so artifacts
 //!   survive the process and a daemon or `--cache-dir` CLI run
 //!   warm-starts from a prior one.
 //!

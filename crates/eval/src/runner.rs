@@ -101,9 +101,8 @@ impl Evaluation {
 
     /// [`Evaluation::run_engine_with`] against caller-owned caches —
     /// typically `EngineCaches::with_disk` so a repeated run warm-starts
-    /// from persisted ASTs and summaries. Cells (and therefore every
-    /// rendered table) are byte-identical to the cold run; only timing
-    /// changes.
+    /// from persisted ASTs. Cells (and therefore every rendered table) are
+    /// byte-identical to the cold run; only timing changes.
     pub fn run_engine_cached(
         corpus: Corpus,
         jobs: usize,
@@ -130,8 +129,6 @@ impl Evaluation {
         });
 
         caches.record();
-        // Flush fresh summaries to the disk tier, if one is attached.
-        caches.persist();
 
         // Verification runs after the pool has drained — outside both the
         // per-cell timings and the engine's analyze stage. The `stage.eval`

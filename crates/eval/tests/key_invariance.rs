@@ -1,6 +1,6 @@
 //! Cache keys over the whole corpus: the content digest must tell every
 //! distinct file and project apart, and keying the caches with it must not
-//! change what the summary tier serves or how much work an analysis does.
+//! change what the summary cache serves or how much work an analysis does.
 
 use std::collections::HashMap;
 

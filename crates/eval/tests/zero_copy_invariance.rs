@@ -5,7 +5,7 @@
 //! or deleting entries may slow a run down but can never change a table,
 //! a figure or an `--explain` chain.
 
-use phpsafe::caching::{AST_FINGERPRINT, AST_NAMESPACE};
+use phpsafe::caching::AST_NAMESPACE;
 use phpsafe::{EngineCaches, PhpSafe, PluginProject, SourceFile};
 use phpsafe_corpus::{Corpus, Version};
 use phpsafe_engine::{ContentKey, DiskCache};
@@ -125,16 +125,21 @@ fn outcomes_identical_across_load_paths() {
     assert_eq!(dc.evicted, 0, "no entry may be dropped as stale");
     assert!(dc.bytes_read > 0, "warm loads must count bytes_read");
 
-    // --- stale dir: entries from before the AST_FINGERPRINT bump ---
+    // --- stale dir: an entry another build wrote ---
     let dir2 = temp_dir("stale");
     let disk2 = Arc::new(DiskCache::open(&dir2).unwrap());
-    // Seed one file under the old fingerprint `0`, as a process from
-    // before the bump would have (whatever its payload); it must miss as
-    // stale, re-parse, and be rewritten as ZAST.
+    // Seed one file as another build would have (whatever its payload):
+    // an envelope whose stamp, the 8 bytes after the magic, is not this
+    // build's. It must miss as stale, re-parse, and be rewritten as ZAST.
     let stale = &project.files()[0];
     let key = ContentKey::of(stale.content.as_bytes());
-    assert_ne!(AST_FINGERPRINT, 0);
-    assert!(disk2.store(AST_NAMESPACE, key, 0, b"PAST\x01 pre-bump entry"));
+    assert!(disk2.store(AST_NAMESPACE, key, 0, b"PAST\x01 other-build entry"));
+    let entry = dir2
+        .join(AST_NAMESPACE)
+        .join(format!("{:016x}-{:x}.psc", key.hash, key.len));
+    let mut sealed = std::fs::read(&entry).unwrap();
+    sealed[4..12].copy_from_slice(&0u64.to_le_bytes());
+    std::fs::write(&entry, sealed).unwrap();
     {
         let caches = EngineCaches::with_disk(Arc::clone(&disk2));
         let stale_cold = tool
@@ -144,10 +149,13 @@ fn outcomes_identical_across_load_paths() {
         assert_eq!(cold, stale_cold, "stale-entry run diverged from cold parse");
     }
     let dc2 = disk2.counters();
-    assert!(dc2.evicted >= 1, "the pre-bump entry must miss as stale");
+    assert!(
+        dc2.evicted >= 1,
+        "the other build's entry must miss as stale"
+    );
     assert_eq!(
         dc2.corrupt, 0,
-        "a pre-bump entry must never read as corrupt"
+        "another build's entry must never read as corrupt"
     );
     let before = phpsafe_obs::snapshot();
     {
@@ -177,12 +185,7 @@ fn outcomes_identical_across_load_paths() {
     // Store a valid envelope around a truncated ZAST payload instead.
     let good = php_ast::zast::encode_file(&php_ast::parse(&project.files()[1].content));
     let key3 = ContentKey::of(project.files()[1].content.as_bytes());
-    assert!(disk3.store(
-        AST_NAMESPACE,
-        key3,
-        AST_FINGERPRINT,
-        &good[..good.len() / 2]
-    ));
+    assert!(disk3.store(AST_NAMESPACE, key3, 0, &good[..good.len() / 2]));
     {
         let caches = EngineCaches::with_disk(Arc::clone(&disk3));
         let survived = tool

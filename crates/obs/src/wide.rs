@@ -47,7 +47,7 @@ pub struct WideEvent {
     /// Cache misses attributed to this request.
     pub cache_misses: u64,
     /// Named per-stage timings (`load_us`, `cache_probe_us`,
-    /// `analyze_us`, `persist_us`, ...), the request-scoped span tree
+    /// `analyze_us`, `invalidate_us`, ...), the request-scoped span tree
     /// flattened in recording order.
     pub marks: Vec<(&'static str, u64)>,
 }

@@ -109,8 +109,8 @@ for key in serve.requests serve.accepted serve.request serve.analyze \
            diskcache.store_failed depgraph.builds depgraph.hits \
            depgraph.nodes depgraph.edges depgraph.invalidated \
            incremental.files_dirty incremental.files_reanalyzed \
-           diskcache.bytes_on_disk.ast diskcache.bytes_on_disk.summary \
-           diskcache.bytes_on_disk.outcome diskcache.bytes_on_disk.depgraph; do
+           diskcache.bytes_on_disk.ast diskcache.bytes_on_disk.outcome \
+           diskcache.bytes_on_disk.depgraph; do
     sed -n 3p "$serve_out" | grep -q "\"$key\"" || {
         echo "verify: daemon metrics reply is missing key $key" >&2
         exit 1
@@ -131,5 +131,20 @@ sed -n 5p "$serve_out" | grep -q '"shutting_down":true' || {
 }
 grep -q '"queue_wait_us"' "$serve_telemetry" || {
     echo "verify: wide events are missing queue-wait attribution" >&2
+    exit 1
+}
+
+# Smoke: a second daemon of the same build answers the saved plugin from
+# the first one's outcome entry (the invalidate above stored it), so the
+# build stamp is stable across processes. No call summaries reach disk.
+second_out="$(printf '{"cmd":"analyze","paths":["%s"]}\n' "$serve_plugin" |
+    cargo run -q --release --offline -p phpsafe --bin phpsafe -- \
+        serve --stdio --cache-dir "$serve_cache" 2>/dev/null)"
+grep -q '"fully_cached":true' <<<"$second_out" || {
+    echo "verify: a second daemon missed the first one's cache entries" >&2
+    exit 1
+}
+[ ! -e "$serve_cache/summary" ] || {
+    echo "verify: the cache dir holds a summary namespace" >&2
     exit 1
 }
