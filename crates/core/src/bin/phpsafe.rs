@@ -360,7 +360,7 @@ fn run_serve(argv: &[String]) -> ExitCode {
     };
     let jobs = effective_jobs_reported(cli.jobs);
     let mut server = AnalysisServer::with_caches(caches).with_default_jobs(jobs);
-    server.register("phpSAFE", Box::new(PhpSafe::new().with_config(config)));
+    server.register("phpSAFE", PhpSafe::new().with_config(config));
     let daemon = Daemon::start(
         Arc::new(server),
         ServerConfig {

@@ -60,4 +60,4 @@ pub use project::{collect_files, load_project, PluginProject, SourceFile};
 pub use report::{
     numeric_intent, AnalysisOutcome, AnalysisStats, FileFailure, FileReport, Vulnerability,
 };
-pub use server::{AnalysisServer, ServeTool};
+pub use server::AnalysisServer;

@@ -24,8 +24,9 @@
 //!    daemon); corrupt entries and entries another build wrote are
 //!    evicted and counted, never trusted.
 //!
-//! Tools are pluggable through [`ServeTool`] so evaluation harnesses can
-//! register the RIPS/Pixy baselines next to the default phpSAFE instance.
+//! Every tool is a [`PhpSafe`] configuration: the RIPS/Pixy baselines are
+//! `PhpSafe` instances too, so evaluation harnesses can register them
+//! next to the default phpSAFE instance.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -37,45 +38,10 @@ use phpsafe_serve::{AnalyzeRequest, InvalidateRequest, Json, RequestCtx, Service
 
 use crate::caching::EngineCaches;
 use crate::project::{load_project, PluginProject};
-use crate::report::AnalysisOutcome;
 use crate::PhpSafe;
 
 /// Disk-cache namespace for rendered JSON reports.
 pub const OUTCOME_NAMESPACE: &str = "outcome";
-
-/// An analysis tool the daemon can dispatch to.
-pub trait ServeTool: Send + Sync {
-    /// Configuration fingerprint; guards the rendered-outcome cache
-    /// against a change of taint configuration or analyzer options.
-    fn fingerprint(&self) -> u64;
-
-    /// Analyzes one project, sharing the daemon's caches.
-    fn analyze_cached(&self, project: &PluginProject, caches: &EngineCaches) -> AnalysisOutcome;
-
-    /// Slugs of the vulnerability classes this tool's profile can report
-    /// (classes with at least one configured sink), registry order.
-    fn vuln_classes(&self) -> Vec<String> {
-        Vec::new()
-    }
-}
-
-impl ServeTool for PhpSafe {
-    fn fingerprint(&self) -> u64 {
-        PhpSafe::fingerprint(self)
-    }
-
-    fn analyze_cached(&self, project: &PluginProject, caches: &EngineCaches) -> AnalysisOutcome {
-        self.analyze_with_caches(project, Some(caches))
-    }
-
-    fn vuln_classes(&self) -> Vec<String> {
-        self.config()
-            .supported_classes()
-            .into_iter()
-            .map(|c| c.slug().to_owned())
-            .collect()
-    }
-}
 
 /// What the daemon remembers about a root it has analyzed: the project's
 /// content key (which also keys the cached dependency graph), each file's
@@ -99,7 +65,7 @@ fn file_hashes(project: &PluginProject) -> HashMap<String, ContentKey> {
 
 /// The resident analysis service behind `phpsafe serve`.
 pub struct AnalysisServer {
-    tools: Vec<(String, Box<dyn ServeTool>)>,
+    tools: Vec<(String, PhpSafe)>,
     caches: EngineCaches,
     default_jobs: usize,
     /// Known roots (request-path keyed) and their last-analyzed state.
@@ -121,12 +87,12 @@ impl AnalysisServer {
             default_jobs: effective_jobs(usize::MAX).0,
             projects: Mutex::new(HashMap::new()),
         };
-        server.register("phpSAFE", Box::new(PhpSafe::new()));
+        server.register("phpSAFE", PhpSafe::new());
         server
     }
 
     /// Registers (or replaces) a named tool.
-    pub fn register(&mut self, name: impl Into<String>, tool: Box<dyn ServeTool>) {
+    pub fn register(&mut self, name: impl Into<String>, tool: PhpSafe) {
         let name = name.into();
         self.tools.retain(|(n, _)| *n != name);
         self.tools.push((name, tool));
@@ -146,13 +112,13 @@ impl AnalysisServer {
     fn resolve_tools<'a>(
         &'a self,
         requested: &[String],
-    ) -> Result<Vec<(&'a str, &'a dyn ServeTool)>, String> {
+    ) -> Result<Vec<(&'a str, &'a PhpSafe)>, String> {
         if self.tools.is_empty() {
             return Err("no tools registered".into());
         }
         if requested.is_empty() {
             let (name, tool) = &self.tools[0];
-            return Ok(vec![(name.as_str(), tool.as_ref())]);
+            return Ok(vec![(name.as_str(), tool)]);
         }
         requested
             .iter()
@@ -160,7 +126,7 @@ impl AnalysisServer {
                 self.tools
                     .iter()
                     .find(|(name, _)| name == want)
-                    .map(|(name, tool)| (name.as_str(), tool.as_ref()))
+                    .map(|(name, tool)| (name.as_str(), tool))
                     .ok_or_else(|| {
                         let known: Vec<&str> = self.tools.iter().map(|(n, _)| n.as_str()).collect();
                         format!("unknown tool `{want}` (registered: {})", known.join(", "))
@@ -171,7 +137,7 @@ impl AnalysisServer {
 
     /// The rendered report of `tool` for the project whose content key is
     /// `key`, from the disk outcome tier.
-    fn cached_report(&self, tool: &dyn ServeTool, key: ContentKey) -> Option<String> {
+    fn cached_report(&self, tool: &PhpSafe, key: ContentKey) -> Option<String> {
         let disk = self.caches.disk()?;
         let bytes = disk.load(OUTCOME_NAMESPACE, key, tool.fingerprint())?;
         match String::from_utf8(bytes) {
@@ -183,7 +149,7 @@ impl AnalysisServer {
         }
     }
 
-    fn store_report(&self, tool: &dyn ServeTool, key: ContentKey, report: &str) {
+    fn store_report(&self, tool: &PhpSafe, key: ContentKey, report: &str) {
         if let Some(disk) = self.caches.disk() {
             disk.store(
                 OUTCOME_NAMESPACE,
@@ -311,7 +277,7 @@ impl Service for AnalysisServer {
         for (pi, &key) in keys.iter().enumerate() {
             let mut row = Vec::new();
             for (ti, (_, tool)) in tools.iter().enumerate() {
-                let hit = self.cached_report(*tool, key);
+                let hit = self.cached_report(tool, key);
                 if hit.is_none() {
                     misses.push((pi, ti));
                 }
@@ -327,7 +293,9 @@ impl Service for AnalysisServer {
 
         let stage = Instant::now();
         let (outcomes, _stats) = run_ordered(misses.clone(), jobs, |_, (pi, ti)| {
-            tools[ti].1.analyze_cached(&projects[pi], &self.caches)
+            tools[ti]
+                .1
+                .analyze_with_caches(&projects[pi], Some(&self.caches))
         });
         for ((pi, ti), outcome) in misses.into_iter().zip(outcomes) {
             let report = outcome
@@ -461,12 +429,12 @@ impl Service for AnalysisServer {
             let parse_misses_before = self.caches.totals().parse.misses;
             let mut reanalyzed = false;
             for (_, tool) in &tools {
-                if self.cached_report(*tool, key).is_none() {
-                    let outcome = tool.analyze_cached(&project, &self.caches);
+                if self.cached_report(tool, key).is_none() {
+                    let outcome = tool.analyze_with_caches(&project, Some(&self.caches));
                     let report = outcome
                         .to_json()
                         .map_err(|e| format!("report serialization failed: {e}"))?;
-                    self.store_report(*tool, key, &report);
+                    self.store_report(tool, key, &report);
                     reanalyzed = true;
                 }
             }
@@ -525,10 +493,10 @@ impl Service for AnalysisServer {
                     // loaded profile's class registry.
                     self.tools
                         .first()
-                        .map(|(_, t)| t.vuln_classes())
+                        .map(|(_, t)| t.config().supported_classes())
                         .unwrap_or_default()
                         .into_iter()
-                        .map(Json::Str)
+                        .map(|c| Json::Str(c.slug().to_owned()))
                         .collect(),
                 ),
             ),

@@ -8,10 +8,12 @@ cd "$(dirname "$0")/.."
 cargo fmt --all --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --workspace --release --offline
-# One pass runs every test binary, the invariance suites included. Each
-# keeps artifacts byte-identical across one axis: symbol (interner state),
-# ast (warm reruns), taxonomy (extra classes), obs (instrumentation), serve
-# (daemon vs batch), zero_copy (parse vs ZAST), incremental (invalidate).
+# One pass runs every test binary. tests/invariance.rs checks Table I/II,
+# Fig. 2, the derived tables, the cells and --explain chains against the
+# goldens in tests/golden/ for every configuration of its matrix (serial,
+# engine workers, warm caches, disk cold/warm/damaged, after a daemon
+# session, instrumentation on/off), plus daemon-vs-batch, incremental and
+# codec checks.
 cargo test -q --offline --workspace
 
 # Rustdoc gate: every intra-doc link must resolve, so no doc can keep
