@@ -4,7 +4,7 @@
 //! be analyzed and delivers the results"*) — plus the capability switches
 //! that also power the baselines and the ablation benches.
 
-use crate::caching::{EngineCaches, SharedCaches};
+use crate::caching::{EngineCaches, FileUnit, SharedCaches};
 use crate::explain::TaintEvent;
 use crate::interp::Interp;
 use crate::project::PluginProject;
@@ -12,7 +12,6 @@ use crate::report::{AnalysisOutcome, AnalysisStats, FileFailure, FileReport};
 use crate::symbols::SymbolTable;
 use php_ast::visit::{self, Visitor};
 use php_ast::{parse, Arena, Callee, ClassDecl, Expr, ExprId, ParsedFile};
-use phpsafe_engine::ContentKey;
 use phpsafe_intern::FnvHashMap;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -207,13 +206,14 @@ impl PhpSafe {
         // ---- stage 2: model construction ----
         let span_model = phpsafe_obs::span!("analyze.model");
         let mut parsed: HashMap<String, Arc<ParsedFile>> = HashMap::new();
-        // The content key of each file in `parsed`, for the declaration memo.
-        let mut parsed_keys: FnvHashMap<&str, ContentKey> = FnvHashMap::default();
+        // The unit of each file in `parsed`, for its declarations' facts.
+        let mut units: FnvHashMap<&str, Arc<FileUnit>> = FnvHashMap::default();
         let mut reports: Vec<FileReport> = Vec::new();
         let mut rejected: Vec<String> = Vec::new();
         for (file, &key) in project.files().iter().zip(project.file_keys()) {
-            let ast = match caches {
-                Some(c) => c.ast().parse_keyed(&file.content, key),
+            let unit = caches.map(|c| c.ast().unit(&file.content, key));
+            let ast = match &unit {
+                Some(unit) => Arc::clone(unit.ast()),
                 None => Arc::new(parse(&file.content)),
             };
             let mut report = FileReport {
@@ -234,7 +234,9 @@ impl PhpSafe {
                 rejected.push(file.path.clone());
             } else {
                 parsed.insert(file.path.clone(), ast);
-                parsed_keys.insert(&file.path, key);
+                if let Some(unit) = unit {
+                    units.insert(&file.path, unit);
+                }
             }
             reports.push(report);
         }
@@ -242,24 +244,11 @@ impl PhpSafe {
         let span_symbols = phpsafe_obs::span!("model.symbols");
         let symbols = SymbolTable::build(parsed.iter().map(|(p, a)| (p.as_str(), a)));
         drop(span_symbols);
-        // Record the project's file dependency graph as a by-product of
-        // model construction: the daemon's `invalidate` path asks it which
-        // files an edit can affect. Keyed on project content, independent
-        // of tool/config, so one build serves every analyzer.
-        if let Some(c) = caches {
-            let key = project.content_key();
-            if c.lookup_depgraph(key).is_none() {
-                c.store_depgraph(
-                    key,
-                    crate::depgraph::build_depgraph(project, &parsed, &symbols),
-                );
-            }
-        }
         drop(span_model);
 
         // ---- stage 3: analysis ----
         let span_taint = phpsafe_obs::span!("analyze.taint");
-        let shared = caches.map(|c| SharedCaches::new(c, &self.tool_name, parsed_keys));
+        let shared = caches.map(|c| SharedCaches::new(c, &self.tool_name, units));
         let mut interp = Interp::new(
             &self.config,
             &self.options,

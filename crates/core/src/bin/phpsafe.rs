@@ -19,8 +19,8 @@
 //!   --no-uncalled         skip never-called functions
 //!   --trace               print data-flow traces and the span self-profile
 //!   --explain             print source→sanitizer→sink provenance chains
-//!   --cache-dir <DIR>     persistent AST/depgraph cache (warm-starts later
-//!                         runs of the same build)
+//!   --cache-dir <DIR>     persistent AST cache (warm-starts later runs of
+//!                         the same build)
 //!   -h, --help            this help
 //!
 //! phpsafe serve [OPTIONS]   long-running analysis daemon (NDJSON protocol)
@@ -76,10 +76,10 @@ OPTIONS:
                         span self-profile tree to stderr
     --explain           print a source→sanitizer→sink provenance chain
                         for every reported vulnerability
-    --cache-dir <DIR>   persist parsed ASTs and include dependency graphs
-                        under DIR so later runs (batch or daemon) of the
-                        same build warm-start from disk; only
-                        `phpsafe serve` also caches rendered reports
+    --cache-dir <DIR>   persist parsed ASTs under DIR so later runs
+                        (batch or daemon) of the same build warm-start
+                        from disk; only `phpsafe serve` also caches
+                        rendered reports
     -h, --help          show this help
 
 SUBCOMMANDS:
@@ -102,9 +102,10 @@ Requests (one JSON object per line):
 
 \"buffers\" overlays unsaved editor contents onto the on-disk project for
 that one request. \"invalidate\" diffs previously analyzed roots against
-disk, consults the cached include/call dependency graph for the dirty
-files' transitive dependents, and eagerly re-analyzes only those — the
-next analyze of an edited project answers from the warmed cache.
+disk, counts the files the dirty ones can affect through includes and
+calls (\"affected\"), and eagerly re-runs each tool the root last ran
+over the whole project; only the dirty files re-parse (\"reparsed\").
+The next analyze of an edited project answers from the warmed cache.
 
 Every response carries the server-assigned request id as \"seq\" (plus
 the client's \"id\" when one was sent), on success and on every
@@ -127,7 +128,8 @@ OPTIONS:
     --telemetry-out <FILE>
                         stream one wide-event NDJSON line per request
                         (id, method, queue wait, stage timings, cache
-                        hits, outcome); written via atomic rename
+                        hits, outcome); lines are appended to FILE in
+                        batches and flushed at shutdown
     --tail-keep <N>     slowest/errored requests retained for the
                         telemetry command (default: 8)
     -h, --help          show this help

@@ -1,4 +1,4 @@
-//! Shared analysis artifacts: the parse cache and cross-run call summaries.
+//! Shared analysis artifacts: file units and cross-run call summaries.
 //!
 //! The evaluation pipeline analyzes the same plugin sources many times —
 //! three tools × two corpus versions, and most files are byte-identical
@@ -6,22 +6,25 @@
 //! [`phpsafe_engine`] artifact caches into the analyzer so that:
 //!
 //! * each distinct file **content** is lexed and parsed exactly once
-//!   ([`AstCache`], keyed by [`ContentKey`]), and every analysis shares the
-//!   resulting [`ParsedFile`] behind an `Arc`;
+//!   ([`AstCache`], keyed by [`ContentKey`]) into one [`FileUnit`], which
+//!   every analysis shares: the [`ParsedFile`], the summary-key facts of
+//!   its declarations, and the references a daemon's `invalidate`
+//!   resolves its affected set from;
 //! * user functions whose analysis provably cannot depend on anything
 //!   outside their declaration are summarized **across analysis runs** in a
 //!   per-tool [`SummaryCache`] — extending the paper's intra-run "every
 //!   function is analyzed only the first time it is called" memoization to
 //!   the whole evaluation.
 //!
-//! With a disk tier ([`EngineCaches::with_disk`]), parsed ASTs and
-//! dependency graphs also outlive the process. Summaries never reach the
-//! disk: they live as long as the cache set that holds them.
+//! With a disk tier ([`EngineCaches::with_disk`]), parsed ASTs also
+//! outlive the process. The rest of a unit and the summaries never reach
+//! the disk: they live as long as the cache set that holds them.
 //!
 //! Cross-run sharing is deliberately conservative so cached and uncached
 //! runs produce byte-identical reports; see [`shareable_calls`] and
 //! [`SharedSummary`] for the exact conditions.
 
+use crate::depgraph::FileRefs;
 use crate::taint::{Taint, VarState};
 use php_ast::printer::{print_expr, print_stmt};
 use php_ast::visit::{self, Visitor};
@@ -29,10 +32,10 @@ use php_ast::{
     parse_tokens, Arena, Callee, ClassDecl, Expr, ExprId, FunctionDecl, ParsedFile, Stmt, StmtId,
 };
 use php_lexer::tokenize;
-use phpsafe_engine::{digest64, ArtifactCache, CacheCounters, ContentKey, DepGraph, DiskCache};
+use phpsafe_engine::{digest64, ArtifactCache, CacheCounters, ContentKey, DiskCache};
 use phpsafe_intern::{FnvHashMap, Symbol};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Disk namespace for encoded [`ParsedFile`]s, stored in the zero-copy
 /// ZAST v2 layout ([`php_ast::zast`]). The envelope's build stamp guards
@@ -58,17 +61,66 @@ fn note_store(stored: bool) {
     });
 }
 
-/// Disk namespace for file-level dependency graphs (see
-/// [`phpsafe_engine::DepGraph`]). Keyed by project content only: the graph
-/// is built from ASTs and the symbol table, both configuration-independent,
-/// so one entry, stored under fingerprint 0, serves every tool.
-const DEPGRAPH_NAMESPACE: &str = "depgraph";
+/// Everything the caches hold for one file content, shared by every
+/// tool, version and project that presents the same bytes: the parsed
+/// tree, the summary-key facts of its declarations and the file's
+/// outgoing references. The facts are computed on first use and live as
+/// long as the unit; only the tree reaches the disk.
+pub struct FileUnit {
+    ast: Arc<ParsedFile>,
+    /// Each declaration looked up so far, with its facts when it is
+    /// shareable. Equal content parses to equal arenas, so a
+    /// declaration's handles name the same nodes in every file with this
+    /// unit's key.
+    decls: Mutex<Vec<(FunctionDecl, Option<SharedDecl>)>>,
+    /// What the file declares and references, for `invalidate`.
+    refs: OnceLock<FileRefs>,
+}
 
-/// A shared token-stream/AST cache: one lex + parse per distinct file
-/// content, no matter how many tools, versions or plugins present it.
+impl FileUnit {
+    fn new(ast: ParsedFile) -> FileUnit {
+        FileUnit {
+            ast: Arc::new(ast),
+            decls: Mutex::default(),
+            refs: OnceLock::new(),
+        }
+    }
+
+    /// The parsed file.
+    pub(crate) fn ast(&self) -> &Arc<ParsedFile> {
+        &self.ast
+    }
+
+    /// The summary-key facts of `decl`, a declaration of this file:
+    /// computed on the first lookup, then shared.
+    pub(crate) fn decl(&self, decl: &FunctionDecl) -> Option<SharedDecl> {
+        let known = |decls: &[(FunctionDecl, Option<SharedDecl>)]| {
+            let (_, facts) = decls.iter().find(|(d, _)| d == decl)?;
+            Some(facts.clone())
+        };
+        if let Some(found) = known(&self.decls.lock().unwrap()) {
+            return found;
+        }
+        // Computed outside the lock; a racing worker computes the same.
+        let computed = SharedDecl::of(&self.ast, decl);
+        let mut decls = self.decls.lock().unwrap();
+        if known(&decls).is_none() {
+            decls.push((*decl, computed.clone()));
+        }
+        computed
+    }
+
+    /// What this file declares and references, extracted on first use.
+    pub(crate) fn refs(&self) -> &FileRefs {
+        self.refs.get_or_init(|| FileRefs::of(&self.ast))
+    }
+}
+
+/// The shared file-unit cache: one lex + parse per distinct file content,
+/// no matter how many tools, versions or plugins present it.
 #[derive(Default)]
 pub struct AstCache {
-    cache: ArtifactCache<ContentKey, ParsedFile>,
+    cache: ArtifactCache<ContentKey, FileUnit>,
     disk: Option<Arc<DiskCache>>,
 }
 
@@ -97,30 +149,51 @@ impl AstCache {
     /// that fails to decode drops the entry and falls back to a fresh
     /// parse, which is written back.
     pub fn parse(&self, src: &str) -> Arc<ParsedFile> {
-        self.parse_keyed(src, ContentKey::of(src.as_bytes()))
+        Arc::clone(self.unit(src, ContentKey::of(src.as_bytes())).ast())
     }
 
-    /// [`AstCache::parse`] for a caller that already holds the source's
+    /// The unit of `src`, for a caller that already holds the source's
     /// key (a [`crate::PluginProject`] digests each file once, on load),
     /// so a hit costs only the map lookup. `key` must be
-    /// `ContentKey::of(src.as_bytes())`.
-    pub fn parse_keyed(&self, src: &str, key: ContentKey) -> Arc<ParsedFile> {
-        let (ast, _hit) = self.cache.get_or_build(key, || {
-            if let Some(disk) = &self.disk {
-                if let Some(bytes) = disk.load(AST_NAMESPACE, key, 0) {
-                    match php_ast::zast::decode(&bytes) {
-                        Ok(parsed) => return parsed,
-                        Err(_) => disk.note_corrupt(AST_NAMESPACE, key),
-                    }
+    /// `ContentKey::of(src.as_bytes())`. Misses parse as
+    /// [`AstCache::parse`] does.
+    pub fn unit(&self, src: &str, key: ContentKey) -> Arc<FileUnit> {
+        let (unit, _hit) = self.cache.get_or_build(key, || {
+            FileUnit::new(self.load(key).unwrap_or_else(|| {
+                let parsed = parse_tokens(tokenize(src));
+                if let Some(disk) = &self.disk {
+                    let bytes = php_ast::zast::encode_file(&parsed);
+                    note_store(disk.store(AST_NAMESPACE, key, 0, &bytes));
                 }
-            }
-            let parsed = parse_tokens(tokenize(src));
-            if let Some(disk) = &self.disk {
-                note_store(disk.store(AST_NAMESPACE, key, 0, &php_ast::zast::encode_file(&parsed)));
-            }
-            parsed
+                parsed
+            }))
         });
-        ast
+        unit
+    }
+
+    /// The unit of a content this process may no longer hold the source
+    /// of: from memory, else decoded from the disk tier. `None` when
+    /// neither has it. Not counted as a parse-cache lookup.
+    pub(crate) fn unit_by_key(&self, key: ContentKey) -> Option<Arc<FileUnit>> {
+        if let Some(unit) = self.cache.peek(&key) {
+            return Some(unit);
+        }
+        let parsed = self.load(key)?;
+        Some(self.cache.insert(key, FileUnit::new(parsed)))
+    }
+
+    /// The persisted tree of `key`, if the disk tier holds a valid one.
+    /// A payload that fails to decode is dropped and counted as corrupt.
+    fn load(&self, key: ContentKey) -> Option<ParsedFile> {
+        let disk = self.disk.as_ref()?;
+        let bytes = disk.load(AST_NAMESPACE, key, 0)?;
+        match php_ast::zast::decode(&bytes) {
+            Ok(parsed) => Some(parsed),
+            Err(_) => {
+                disk.note_corrupt(AST_NAMESPACE, key);
+                None
+            }
+        }
     }
 
     /// Hit/miss counters.
@@ -173,7 +246,7 @@ impl SummaryKey {
 /// What a cross-run summary lookup needs to know about a shareable
 /// declaration: its fingerprint and the calls [`shareable_calls`]
 /// collects, as interned names.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct SharedDecl {
     pub(crate) fp: u64,
     pub(crate) calls: Vec<Symbol>,
@@ -187,73 +260,6 @@ impl SharedDecl {
             fp: fingerprint_decl(a, decl),
             calls,
         })
-    }
-}
-
-/// [`SharedDecl::of`] memoized per (declaring file's content, declaration).
-/// Equal content parses to equal arenas, so a declaration's handles name
-/// the same nodes in every file with that key; neither value depends on
-/// the tool, so one memo serves every tool. Entries are grouped per file
-/// and their calls pooled, so the memo costs a few dozen bytes per
-/// declaration for the cache set's lifetime.
-#[derive(Default)]
-struct DeclCache(Mutex<FnvHashMap<ContentKey, FileDecls>>);
-
-/// The memoized declarations of one file content.
-#[derive(Default)]
-struct FileDecls {
-    /// Each declaration looked up so far, with its fingerprint and its
-    /// range in `calls` when it is shareable.
-    decls: Vec<(FunctionDecl, Option<PooledDecl>)>,
-    calls: Vec<Symbol>,
-}
-
-/// A shareable declaration's fingerprint and its calls' range in
-/// [`FileDecls::calls`].
-#[derive(Clone, Copy)]
-struct PooledDecl {
-    fp: u64,
-    start: u32,
-    len: u32,
-}
-
-impl FileDecls {
-    fn get(&self, decl: &FunctionDecl) -> Option<Option<SharedDecl>> {
-        let (_, pooled) = self.decls.iter().find(|(d, _)| d == decl)?;
-        Some(pooled.map(|p| SharedDecl {
-            fp: p.fp,
-            calls: self.calls[p.start as usize..(p.start + p.len) as usize].to_vec(),
-        }))
-    }
-}
-
-impl DeclCache {
-    fn get_or_compute(
-        &self,
-        file: ContentKey,
-        decl: &FunctionDecl,
-        compute: impl FnOnce() -> Option<SharedDecl>,
-    ) -> Option<SharedDecl> {
-        if let Some(found) = self.0.lock().unwrap().get(&file).and_then(|f| f.get(decl)) {
-            return found;
-        }
-        // Computed outside the lock; a racing worker computes the same.
-        let computed = compute();
-        let mut map = self.0.lock().unwrap();
-        let entry = map.entry(file).or_default();
-        if entry.get(decl).is_none() {
-            let pooled = computed.as_ref().map(|d| {
-                let start = entry.calls.len() as u32;
-                entry.calls.extend_from_slice(&d.calls);
-                PooledDecl {
-                    fp: d.fp,
-                    start,
-                    len: d.calls.len() as u32,
-                }
-            });
-            entry.decls.push((*decl, pooled));
-        }
-        computed
     }
 }
 
@@ -278,43 +284,38 @@ pub struct SharedSummary {
 pub type SummaryCache = ArtifactCache<SummaryKey, SharedSummary>;
 
 /// What one cached analysis run consults for cross-run summaries: its
-/// tool's summary cache, the declaration memo, and the content key of each
-/// analyzed file (by path) to key that memo by.
+/// tool's summary cache, and the unit of each analyzed file (by path),
+/// which memoizes its declarations' facts.
 pub(crate) struct SharedCaches<'a> {
     pub(crate) summaries: Arc<SummaryCache>,
-    decls: &'a DeclCache,
-    file_keys: FnvHashMap<&'a str, ContentKey>,
+    units: FnvHashMap<&'a str, Arc<FileUnit>>,
 }
 
 impl<'a> SharedCaches<'a> {
-    /// `file_keys` must hold the key of the very content each path's AST
-    /// was parsed from.
+    /// `units` must hold the unit each path's AST was taken from.
     pub(crate) fn new(
-        caches: &'a EngineCaches,
+        caches: &EngineCaches,
         tool: &str,
-        file_keys: FnvHashMap<&'a str, ContentKey>,
+        units: FnvHashMap<&'a str, Arc<FileUnit>>,
     ) -> Self {
         SharedCaches {
             summaries: caches.summaries_for(tool),
-            decls: &caches.decls,
-            file_keys,
+            units,
         }
     }
 
     /// The summary-key facts of `decl` (handles into `a`), declared in
     /// project file `file`: computed on the first lookup, then shared.
     pub(crate) fn decl(&self, a: &Arena, decl: &FunctionDecl, file: &str) -> Option<SharedDecl> {
-        match self.file_keys.get(file) {
-            Some(&key) => self
-                .decls
-                .get_or_compute(key, decl, || SharedDecl::of(a, decl)),
+        match self.units.get(file) {
+            Some(unit) => unit.decl(decl),
             None => SharedDecl::of(a, decl),
         }
     }
 }
 
 /// The shared caches one engine run threads through every analysis: a
-/// parse cache common to all tools, and one summary cache per tool (the
+/// file-unit cache common to all tools, and one summary cache per tool (the
 /// tools differ in taint configuration and capability switches, so their
 /// summaries must not mix).
 ///
@@ -324,12 +325,6 @@ impl<'a> SharedCaches<'a> {
 pub struct EngineCaches {
     ast: AstCache,
     summaries: Mutex<HashMap<String, Arc<SummaryCache>>>,
-    /// File-level dependency graphs, keyed by project content (tool
-    /// independent) — the invalidation index of the incremental path.
-    depgraphs: ArtifactCache<ContentKey, DepGraph>,
-    /// Per-declaration summary-key facts, computed on the first cross-run
-    /// lookup of each declaration and reused for the cache set's lifetime.
-    decls: DeclCache,
     disk: Option<Arc<DiskCache>>,
 }
 
@@ -339,9 +334,9 @@ impl EngineCaches {
         Self::default()
     }
 
-    /// Fresh caches backed by a persistent disk tier: parsed ASTs and
-    /// dependency graphs are read through and written through to `disk`.
-    /// Call summaries stay in memory for the cache set's lifetime.
+    /// Fresh caches backed by a persistent disk tier: parsed ASTs are read
+    /// through and written through to `disk`. Call summaries stay in
+    /// memory for the cache set's lifetime.
     pub fn with_disk(disk: Arc<DiskCache>) -> Self {
         EngineCaches {
             ast: AstCache::with_disk(Arc::clone(&disk)),
@@ -355,7 +350,7 @@ impl EngineCaches {
         self.disk.as_ref()
     }
 
-    /// The shared parse cache.
+    /// The shared file-unit cache.
     pub fn ast(&self) -> &AstCache {
         &self.ast
     }
@@ -368,42 +363,6 @@ impl EngineCaches {
             .entry(tool.to_string())
             .or_default()
             .clone()
-    }
-
-    /// The file-level dependency graph recorded for this project content,
-    /// if one is cached: in-memory first, then the disk tier's `depgraph`
-    /// namespace. A persisted blob that fails to decode is dropped
-    /// (`diskcache.corrupt`) and the caller rebuilds the graph on its next
-    /// model construction.
-    pub fn lookup_depgraph(&self, key: ContentKey) -> Option<Arc<DepGraph>> {
-        if let Some(g) = self.depgraphs.get(&key) {
-            phpsafe_obs::count("depgraph.hits", 1);
-            return Some(g);
-        }
-        let disk = self.disk.as_ref()?;
-        let bytes = disk.load(DEPGRAPH_NAMESPACE, key, 0)?;
-        match DepGraph::decode(&bytes) {
-            Ok(g) => {
-                phpsafe_obs::count("depgraph.hits", 1);
-                Some(self.depgraphs.insert(key, g))
-            }
-            Err(_) => {
-                disk.note_corrupt(DEPGRAPH_NAMESPACE, key);
-                None
-            }
-        }
-    }
-
-    /// Stores a freshly built dependency graph in memory and writes it
-    /// through to the disk tier (if any), recording its size counters.
-    pub fn store_depgraph(&self, key: ContentKey, graph: DepGraph) -> Arc<DepGraph> {
-        phpsafe_obs::count("depgraph.builds", 1);
-        phpsafe_obs::count("depgraph.nodes", graph.node_count() as u64);
-        phpsafe_obs::count("depgraph.edges", graph.edge_count() as u64);
-        if let Some(disk) = &self.disk {
-            note_store(disk.store(DEPGRAPH_NAMESPACE, key, 0, &graph.encode()));
-        }
-        self.depgraphs.insert(key, graph)
     }
 
     /// Current cache totals: the shared parse cache plus every per-tool

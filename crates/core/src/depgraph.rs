@@ -1,9 +1,12 @@
-//! Extracts the file-level dependency edges that feed the engine's
-//! [`DepGraph`] — the analyzer side of incremental invalidation.
+//! The invalidation graph of a project, resolved in memory from the
+//! units of its file contents — the analyzer side of incremental
+//! invalidation.
 //!
-//! The engine owns the graph, its closure query and its wire format; this
-//! module owns the PHP knowledge: which AST constructs make one file's
-//! analysis depend on another file's contents. Three edge families:
+//! The engine owns the graph and its closure query; this module owns the
+//! PHP knowledge: which AST constructs make one file's analysis depend on
+//! another file's contents. Each [`FileUnit`] extracts its [`FileRefs`]
+//! once, and [`affected_files`] resolves them against a project's
+//! declarations. Three edge families:
 //!
 //! * **Includes** — `include`/`require` targets, resolved with the same
 //!   best-effort constant evaluation the interpreter uses (literal
@@ -15,6 +18,7 @@
 //! * **Calls** — `foo()` to a function declared in another file, plus
 //!   `new Cls`, `Cls::m()` and `use`/`extends`/`implements` class
 //!   references, matching the symbol table's case-insensitive resolution.
+//!   A name declared in several files edges to each of them.
 //! * **Methods** — `$obj->m()` with an unknown receiver edges to *every*
 //!   class declaring a method `m`, mirroring the paper's name-based OOP
 //!   resolution (§III-B): any of those files could host the summary used.
@@ -24,151 +28,196 @@
 //! always recomputed from full content-keyed inputs — so an unresolvable
 //! edge degrades the *precision* of invalidation, not its soundness.
 
-use crate::project::PluginProject;
-use crate::symbols::SymbolTable;
+use crate::caching::FileUnit;
 use php_ast::visit::{self, Visitor};
 use php_ast::{
-    Arena, BinOp, Callee, ClassDecl, ClassMember, Expr, ExprId, InterpPart, Lit, ParsedFile,
+    Arena, BinOp, Callee, ClassDecl, ClassMember, Expr, ExprId, InterpPart, Lit, Member,
+    ParsedFile, Stmt, StmtId,
 };
 use phpsafe_engine::DepGraph;
-use std::collections::HashMap;
+use phpsafe_intern::{FnvHashMap, Symbol};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Builds the project's dependency graph from its parsed files and symbol
-/// table. Every project file is a node (sorted insertion, so the encoded
-/// bytes are deterministic across runs); edges come from the parsed subset.
-pub(crate) fn build_depgraph(
-    project: &PluginProject,
-    parsed: &HashMap<String, Arc<ParsedFile>>,
-    symbols: &SymbolTable,
-) -> DepGraph {
-    let _span = phpsafe_obs::span!("model.depgraph");
-    let mut graph = DepGraph::new();
-    let mut paths: Vec<&str> = project.files().iter().map(|f| f.path.as_str()).collect();
-    paths.sort_unstable();
-    for p in &paths {
-        graph.add_file(p);
+/// What one file content declares and references, by lowercased name,
+/// each name once. Include targets stay expressions: `__FILE__` names the
+/// including file, so they resolve per path.
+#[derive(Default)]
+pub(crate) struct FileRefs {
+    includes: Vec<ExprId>,
+    /// Called free functions.
+    functions: Vec<Symbol>,
+    /// Classes named by `new`, `Cls::m()`, `extends`, `implements` or `use`.
+    classes: Vec<Symbol>,
+    /// Methods called on any receiver.
+    methods: Vec<Symbol>,
+    /// Free functions declared outside class bodies, as the symbol table
+    /// records them.
+    declared_functions: Vec<Symbol>,
+    declared_classes: Vec<Symbol>,
+    /// Each declared class's own methods.
+    declared_methods: Vec<Symbol>,
+}
+
+impl FileRefs {
+    pub(crate) fn of(file: &ParsedFile) -> FileRefs {
+        let mut v = RefVisitor {
+            refs: FileRefs::default(),
+            class_depth: 0,
+        };
+        visit::walk_file(&mut v, file);
+        let mut refs = v.refs;
+        for names in [
+            &mut refs.functions,
+            &mut refs.classes,
+            &mut refs.methods,
+            &mut refs.declared_functions,
+            &mut refs.declared_classes,
+            &mut refs.declared_methods,
+        ] {
+            // Lowercasing may intern, so it runs once per distinct name.
+            let distinct = name_set(std::mem::take(names));
+            *names = name_set(distinct.into_iter().map(Symbol::to_lowercase).collect());
+        }
+        // Relative references stay within the declaring file.
+        refs.classes
+            .retain(|c| !matches!(c.as_str(), "self" | "static" | "parent"));
+        refs
     }
-    for path in paths {
-        let Some(ast) = parsed.get(path) else {
-            continue; // rejected (OOP/closure gate) — no edges from it
-        };
-        let mut v = EdgeVisitor {
-            graph: &mut graph,
-            project,
-            symbols,
-            from: path,
-        };
-        visit::walk_file(&mut v, ast);
+}
+
+/// `names` sorted by interned id, each once.
+fn name_set(mut names: Vec<Symbol>) -> Vec<Symbol> {
+    names.sort_unstable_by_key(|name| name.index());
+    names.dedup();
+    names
+}
+
+/// The files an edit can affect: each dirty file plus every file that
+/// depends on one, directly or transitively, under the project's previous
+/// contents (`old`) or its current ones (`new`) — so a caller an edit
+/// gains counts as well as one it loses. Each list pairs a project's
+/// paths, in project order, with the units of their contents. Sorted and
+/// deduplicated; this is what a daemon's `invalidate` replies with.
+pub fn affected_files<S: AsRef<str>>(
+    old: &[(&str, Arc<FileUnit>)],
+    new: &[(&str, Arc<FileUnit>)],
+    dirty: &[S],
+) -> Vec<String> {
+    let mut affected = graph_of(old).dependents_of(dirty);
+    affected.extend(graph_of(new).dependents_of(dirty));
+    affected.sort_unstable();
+    affected.dedup();
+    affected
+}
+
+/// Resolves every file's references against the declarations of `files`.
+fn graph_of(files: &[(&str, Arc<FileUnit>)]) -> DepGraph {
+    // Declaring files by name, as indices into `files`.
+    let mut declared: [FnvHashMap<Symbol, Vec<usize>>; 3] = Default::default();
+    for (i, (_, unit)) in files.iter().enumerate() {
+        let r = unit.refs();
+        let decls = [
+            &r.declared_functions,
+            &r.declared_classes,
+            &r.declared_methods,
+        ];
+        for (by_name, names) in declared.iter_mut().zip(decls) {
+            for &name in names {
+                by_name.entry(name).or_default().push(i);
+            }
+        }
+    }
+    let mut graph = DepGraph::new();
+    for (path, _) in files {
+        graph.add_file(path);
+    }
+    for (from, unit) in files {
+        let r = unit.refs();
+        let includes = r.includes.iter().filter_map(|&target| {
+            let raw = include_target(unit.ast(), target, from)?;
+            find_file(files, &raw)
+        });
+        let uses = [&r.functions, &r.classes, &r.methods];
+        let calls = declared.iter().zip(uses).flat_map(|(by_name, names)| {
+            names
+                .iter()
+                .filter_map(|n| by_name.get(n))
+                .flatten()
+                .copied()
+        });
+        // Many references resolve to the same file: add each edge once.
+        let deps: BTreeSet<usize> = includes.chain(calls).collect();
+        for to in deps {
+            graph.add_edge(from, files[to].0);
+        }
     }
     graph
 }
 
-struct EdgeVisitor<'a> {
-    graph: &'a mut DepGraph,
-    project: &'a PluginProject,
-    symbols: &'a SymbolTable,
-    from: &'a str,
+/// The index of the project file an include names: an exact path, else
+/// the first path in project order ending with it
+/// ([`crate::PluginProject::find_file`]).
+fn find_file(files: &[(&str, Arc<FileUnit>)], raw: &str) -> Option<usize> {
+    let needle = raw.trim_start_matches("./").trim_start_matches('/');
+    let paths = || files.iter().map(|(path, _)| *path);
+    paths()
+        .position(|path| path == needle)
+        .or_else(|| paths().position(|path| path.ends_with(needle)))
 }
 
-impl EdgeVisitor<'_> {
-    fn edge(&mut self, to: &str) {
-        if to != self.from {
-            self.graph.add_edge(self.from, to);
-        }
-    }
-
-    fn class_edge(&mut self, name: &str) {
-        if name.eq_ignore_ascii_case("self")
-            || name.eq_ignore_ascii_case("static")
-            || name.eq_ignore_ascii_case("parent")
-        {
-            return; // relative references stay within the declaring file
-        }
-        let file = self.symbols.class(name).map(|c| c.file.clone());
-        if let Some(f) = file {
-            self.edge(&f);
-        }
-    }
+struct RefVisitor {
+    refs: FileRefs,
+    /// Class bodies entered; functions declared inside one are not free.
+    class_depth: usize,
 }
 
-impl Visitor for EdgeVisitor<'_> {
+impl Visitor for RefVisitor {
+    fn visit_stmt(&mut self, a: &Arena, stmt: StmtId) {
+        if let Stmt::Function(f) = a.stmt(stmt) {
+            if self.class_depth == 0 {
+                self.refs.declared_functions.push(f.name);
+            }
+        }
+        visit::walk_stmt(self, a, stmt);
+    }
+
     fn visit_expr(&mut self, a: &Arena, expr: ExprId) {
         match a.expr(expr) {
-            Expr::Include(_, target, _) => {
-                let resolved = include_target(a, *target, self.from)
-                    .and_then(|raw| self.project.find_file(&raw))
-                    .map(|f| f.path.clone());
-                if let Some(path) = resolved {
-                    self.edge(&path);
-                }
-            }
+            Expr::Include(_, target, _) => self.refs.includes.push(*target),
             Expr::Call { callee, .. } => match callee {
-                Callee::Function(name) => {
-                    let file = self.symbols.function(name.as_str()).map(|i| i.file.clone());
-                    if let Some(f) = file {
-                        self.edge(&f);
-                    }
-                }
-                Callee::StaticMethod { class, .. } => {
-                    let class = class.as_str().to_owned();
-                    self.class_edge(&class);
-                }
-                Callee::Method { name, .. } => {
-                    if let Some(m) = name.as_name() {
-                        // Unknown receiver: any class with this method
-                        // could be the one whose summary the walk uses.
-                        let files: Vec<String> = self
-                            .symbols
-                            .classes()
-                            .filter(|c| c.decl.method(&c.ast, m).is_some())
-                            .map(|c| c.file.clone())
-                            .collect();
-                        for f in files {
-                            self.edge(&f);
-                        }
-                    }
-                }
+                Callee::Function(name) => self.refs.functions.push(*name),
+                Callee::StaticMethod { class, .. } => self.refs.classes.push(*class),
+                Callee::Method {
+                    name: Member::Name(m),
+                    ..
+                } => self.refs.methods.push(*m),
+                Callee::Method { .. } => {}
                 Callee::Dynamic(_) => {}
             },
-            Expr::New { class, .. } => {
-                if let Some(c) = class.as_name() {
-                    let c = c.to_owned();
-                    self.class_edge(&c);
-                }
-            }
+            Expr::New {
+                class: Member::Name(c),
+                ..
+            } => self.refs.classes.push(*c),
             _ => {}
         }
         visit::walk_expr(self, a, expr);
     }
 
     fn visit_class(&mut self, a: &Arena, class: &ClassDecl) {
-        if let Some(parent) = class.parent {
-            let parent = parent.as_str().to_owned();
-            self.class_edge(&parent);
+        self.refs.declared_classes.push(class.name);
+        let methods = class.methods(a).map(|(_, m)| m.name);
+        self.refs.declared_methods.extend(methods);
+        self.refs.classes.extend(class.parent);
+        self.refs.classes.extend(a.syms(class.interfaces));
+        for m in a.members(class.members) {
+            if let ClassMember::UseTrait(traits, _) = m {
+                self.refs.classes.extend(a.syms(*traits));
+            }
         }
-        let ifaces: Vec<String> = a
-            .syms(class.interfaces)
-            .iter()
-            .map(|s| s.as_str().to_owned())
-            .collect();
-        for i in ifaces {
-            self.class_edge(&i);
-        }
-        let traits: Vec<String> = a
-            .members(class.members)
-            .iter()
-            .filter_map(|m| match m {
-                ClassMember::UseTrait(ts, _) => Some(a.syms(*ts)),
-                _ => None,
-            })
-            .flatten()
-            .map(|s| s.as_str().to_owned())
-            .collect();
-        for t in traits {
-            self.class_edge(&t);
-        }
+        self.class_depth += 1;
         visit::walk_class(self, a, class);
+        self.class_depth -= 1;
     }
 }
 
@@ -263,28 +312,21 @@ fn literal_tail(a: &Arena, e: ExprId) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::project::SourceFile;
-    use php_ast::parse;
+    use crate::caching::AstCache;
+    use phpsafe_engine::ContentKey;
 
-    fn project_of(files: &[(&str, &str)]) -> (PluginProject, HashMap<String, Arc<ParsedFile>>) {
-        let mut p = PluginProject::new("t");
-        let mut parsed = HashMap::new();
-        for (path, src) in files {
-            p = p.with_file(SourceFile::new(*path, *src));
-            parsed.insert((*path).to_string(), Arc::new(parse(src)));
-        }
-        (p, parsed)
+    fn units_of<'a>(cache: &AstCache, files: &[(&'a str, &str)]) -> Vec<(&'a str, Arc<FileUnit>)> {
+        let unit = |src: &str| cache.unit(src, ContentKey::of(src.as_bytes()));
+        files.iter().map(|&(path, src)| (path, unit(src))).collect()
     }
 
-    fn graph_of(files: &[(&str, &str)]) -> DepGraph {
-        let (project, parsed) = project_of(files);
-        let symbols = SymbolTable::build(parsed.iter().map(|(p, a)| (p.as_str(), a)));
-        build_depgraph(&project, &parsed, &symbols)
+    fn graph_of_sources(files: &[(&str, &str)]) -> DepGraph {
+        graph_of(&units_of(&AstCache::new(), files))
     }
 
     #[test]
     fn include_edges_resolve_literals_and_dirname_jumbles() {
-        let g = graph_of(&[
+        let g = graph_of_sources(&[
             ("main.php", "<?php require 'lib/db.php';"),
             (
                 "admin.php",
@@ -303,7 +345,7 @@ mod tests {
 
     #[test]
     fn partially_dynamic_include_uses_trailing_fragment() {
-        let g = graph_of(&[
+        let g = graph_of_sources(&[
             ("main.php", "<?php include $base . '/inc/helper.php';"),
             ("inc/helper.php", "<?php function h() {}"),
         ]);
@@ -312,7 +354,7 @@ mod tests {
 
     #[test]
     fn fully_dynamic_include_contributes_no_edge() {
-        let g = graph_of(&[
+        let g = graph_of_sources(&[
             ("main.php", "<?php include $path;"),
             ("other.php", "<?php $x = 1;"),
         ]);
@@ -321,7 +363,7 @@ mod tests {
 
     #[test]
     fn cross_file_calls_and_classes_edge_to_declaring_file() {
-        let g = graph_of(&[
+        let g = graph_of_sources(&[
             ("a.php", "<?php Sanitize(); $d = new DB(); DB::ping();"),
             ("fns.php", "<?php function sanitize($s) { return $s; }"),
             ("db.php", "<?php class DB { function ping() {} }"),
@@ -333,7 +375,7 @@ mod tests {
 
     #[test]
     fn method_calls_edge_to_every_declaring_class() {
-        let g = graph_of(&[
+        let g = graph_of_sources(&[
             ("a.php", "<?php $x->save();"),
             ("m1.php", "<?php class A { function save() {} }"),
             ("m2.php", "<?php class B { function save() {} }"),
@@ -344,7 +386,7 @@ mod tests {
 
     #[test]
     fn inheritance_and_traits_edge_to_parent_files() {
-        let g = graph_of(&[
+        let g = graph_of_sources(&[
             ("child.php", "<?php class Child extends Base { use Log; }"),
             ("base.php", "<?php class Base {}"),
             ("log.php", "<?php trait Log { function log() {} }"),
@@ -353,14 +395,27 @@ mod tests {
     }
 
     #[test]
-    fn graph_encoding_is_deterministic_across_rebuilds() {
-        let files = [
-            ("z.php", "<?php include 'a.php'; helper();"),
-            ("a.php", "<?php function helper() {}"),
-            ("m.php", "<?php require 'z.php';"),
-        ];
-        let bytes: Vec<Vec<u8>> = (0..3).map(|_| graph_of(&files).encode()).collect();
-        assert_eq!(bytes[0], bytes[1]);
-        assert_eq!(bytes[1], bytes[2]);
+    fn functions_inside_class_bodies_are_not_free_declarations() {
+        let g = graph_of_sources(&[
+            ("a.php", "<?php helper();"),
+            (
+                "c.php",
+                "<?php class C { function m() { function helper() {} } }",
+            ),
+        ]);
+        assert_eq!(g.deps_of("a.php"), Vec::<&str>::new());
+    }
+
+    #[test]
+    fn affected_counts_callers_an_edit_gains_or_loses() {
+        let cache = AstCache::new();
+        let declares = "<?php function foo() {}";
+        let plain = "<?php echo 1;";
+        let project = |d: &str| units_of(&cache, &[("a.php", "<?php foo();"), ("d.php", d)]);
+        let (with, without) = (project(declares), project(plain));
+        let dirty = ["d.php"];
+        assert_eq!(affected_files(&without, &with, &dirty), ["a.php", "d.php"]);
+        assert_eq!(affected_files(&with, &without, &dirty), ["a.php", "d.php"]);
+        assert_eq!(affected_files(&without, &without, &dirty), ["d.php"]);
     }
 }

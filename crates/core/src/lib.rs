@@ -53,6 +53,7 @@ pub mod taint;
 
 pub use analyzer::{AnalyzerOptions, PhpSafe};
 pub use caching::{CacheTotals, EngineCaches};
+pub use depgraph::affected_files;
 pub use explain::{explain_outcome, explain_vuln};
 pub use html::{escape_html, render_html};
 pub use inspect::{inspect, FileInventory, Inspection};

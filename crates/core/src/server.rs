@@ -12,17 +12,22 @@
 //! Three cache tiers serve a request, fastest first:
 //!
 //! 1. **Rendered-outcome tier** (`outcome` namespace on disk): the exact
-//!    JSON report of a prior run, keyed by the project's content
-//!    fingerprint under the tool's config fingerprint. A hit skips
-//!    analysis entirely and embeds the stored bytes in the reply — which
-//!    is how daemon replies stay byte-identical to batch CLI output
-//!    across restarts.
-//! 2. **In-memory AST + summary caches**: shared across requests for the
-//!    daemon's lifetime.
-//! 3. **On-disk AST + depgraph tiers**: populated by prior processes of
-//!    the same build (a batch run with `--cache-dir`, or an earlier
-//!    daemon); corrupt entries and entries another build wrote are
-//!    evicted and counted, never trusted.
+//!    JSON report of a prior run, keyed by the project's content key and
+//!    the tool's config fingerprint together, so every tool keeps its own
+//!    entry. A hit skips analysis entirely and embeds the stored bytes in
+//!    the reply — which is how daemon replies stay byte-identical to batch
+//!    CLI output across restarts.
+//! 2. **In-memory file units + summary caches**: shared across requests
+//!    for the daemon's lifetime.
+//! 3. **On-disk AST tier**: populated by prior processes of the same
+//!    build (a batch run with `--cache-dir`, or an earlier daemon);
+//!    corrupt entries and entries another build wrote are evicted and
+//!    counted, never trusted.
+//!
+//! `invalidate` resolves the files an edit can affect in memory, from the
+//! file units of the root's previous and current contents
+//! ([`affected_files`]); a previous unit the memory lost is decoded from
+//! the AST tier by its content key.
 //!
 //! Every tool is a [`PhpSafe`] configuration: the RIPS/Pixy baselines are
 //! `PhpSafe` instances too, so evaluation harnesses can register them
@@ -30,26 +35,25 @@
 
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use phpsafe_engine::{effective_jobs, run_ordered, ContentKey};
 use phpsafe_serve::{AnalyzeRequest, InvalidateRequest, Json, RequestCtx, Service};
 
-use crate::caching::EngineCaches;
-use crate::project::{load_project, PluginProject};
-use crate::PhpSafe;
+use crate::caching::{EngineCaches, FileUnit};
+use crate::project::{load_project, PluginProject, SourceFile};
+use crate::{affected_files, PhpSafe};
 
 /// Disk-cache namespace for rendered JSON reports.
 pub const OUTCOME_NAMESPACE: &str = "outcome";
 
-/// What the daemon remembers about a root it has analyzed: the project's
-/// content key (which also keys the cached dependency graph), each file's
-/// content key for diffing a reload, and the tools the client last ran —
-/// so `invalidate` can re-warm exactly what the next `analyze` will ask.
+/// What the daemon remembers about a root it has analyzed: each file's
+/// content key, for diffing a reload and finding its unit, and the tools
+/// the client last ran — so `invalidate` can re-warm exactly what the
+/// next `analyze` will ask.
 #[derive(Clone)]
 struct ProjectState {
-    key: ContentKey,
     file_hashes: HashMap<String, ContentKey>,
     tools: Vec<String>,
 }
@@ -139,11 +143,12 @@ impl AnalysisServer {
     /// `key`, from the disk outcome tier.
     fn cached_report(&self, tool: &PhpSafe, key: ContentKey) -> Option<String> {
         let disk = self.caches.disk()?;
-        let bytes = disk.load(OUTCOME_NAMESPACE, key, tool.fingerprint())?;
+        let entry = outcome_key(key, tool);
+        let bytes = disk.load(OUTCOME_NAMESPACE, entry, tool.fingerprint())?;
         match String::from_utf8(bytes) {
             Ok(report) => Some(report),
             Err(_) => {
-                disk.note_corrupt(OUTCOME_NAMESPACE, key);
+                disk.note_corrupt(OUTCOME_NAMESPACE, entry);
                 None
             }
         }
@@ -153,11 +158,26 @@ impl AnalysisServer {
         if let Some(disk) = self.caches.disk() {
             disk.store(
                 OUTCOME_NAMESPACE,
-                key,
+                outcome_key(key, tool),
                 tool.fingerprint(),
                 report.as_bytes(),
             );
         }
+    }
+
+    /// The unit of each file as the root was last analyzed, in project
+    /// (path) order: from memory, else decoded from the disk AST tier.
+    /// `None` when some file's unit is in neither.
+    fn previous_units<'a>(
+        &self,
+        file_hashes: &'a HashMap<String, ContentKey>,
+    ) -> Option<Vec<(&'a str, Arc<FileUnit>)>> {
+        let mut units = file_hashes
+            .iter()
+            .map(|(path, &key)| Some((path.as_str(), self.caches.ast().unit_by_key(key)?)))
+            .collect::<Option<Vec<_>>>()?;
+        units.sort_unstable_by_key(|&(path, _)| path);
+        Some(units)
     }
 
     /// Overlays the request's unsaved editor buffers onto the loaded
@@ -202,27 +222,30 @@ impl AnalysisServer {
     }
 
     /// Records what was analyzed for each root, so a later `invalidate`
-    /// can diff a reload against it and consult the matching dependency
-    /// graph.
-    fn remember(
-        &self,
-        roots: &[String],
-        projects: &[PluginProject],
-        keys: &[ContentKey],
-        tools: &[String],
-    ) {
+    /// can diff a reload against it and find the units it was made of.
+    fn remember(&self, roots: &[String], projects: &[PluginProject], tools: &[String]) {
         let mut states = self.projects.lock().unwrap();
         for (pi, project) in projects.iter().enumerate() {
             states.insert(
                 roots[pi].trim_end_matches('/').to_owned(),
                 ProjectState {
-                    key: keys[pi],
                     file_hashes: file_hashes(project),
                     tools: tools.to_vec(),
                 },
             );
         }
     }
+}
+
+/// The `outcome` entry key of `tool`'s report on the project keyed
+/// `project`. Both values name the entry, so tools that share a daemon
+/// each keep their own; the envelope still checks the fingerprint.
+fn outcome_key(project: ContentKey, tool: &PhpSafe) -> ContentKey {
+    let mut bytes = [0u8; 24];
+    bytes[..8].copy_from_slice(&project.hash.to_le_bytes());
+    bytes[8..16].copy_from_slice(&project.len.to_le_bytes());
+    bytes[16..].copy_from_slice(&tool.fingerprint().to_le_bytes());
+    ContentKey::of(&bytes)
 }
 
 impl Default for AnalysisServer {
@@ -260,10 +283,10 @@ impl Service for AnalysisServer {
                 &mut warnings,
             );
         }
-        // Each project is hashed once; the key serves the root state, the
-        // telemetry record and both outcome-tier probes and stores.
+        // Each project is hashed once; the key serves the telemetry record
+        // and both outcome-tier probes and stores.
         let keys: Vec<ContentKey> = projects.iter().map(PluginProject::content_key).collect();
-        self.remember(&request.paths, &projects, &keys, &request.tools);
+        self.remember(&request.paths, &projects, &request.tools);
         ctx.mark("load_us", stage.elapsed());
         if let Some(key) = keys.first() {
             ctx.set_content_key(format!("{:016x}-{:x}", key.hash, key.len));
@@ -346,13 +369,14 @@ impl Service for AnalysisServer {
     }
 
     /// Re-checks changed paths against known roots, diffs a fresh load of
-    /// each affected project against its remembered per-file hashes, asks
-    /// the cached dependency graph for the transitive dependents of the
-    /// dirty set, and eagerly re-analyzes — so the work happens here, off
-    /// the client's next-`analyze` latency path, and that analyze is a
-    /// pure outcome-cache hit. Unchanged files hit the content-keyed
-    /// AST/summary tiers; only the dirty set re-parses, and the reply
-    /// reports the measured re-parse count rather than assuming it.
+    /// each affected project against its remembered per-file hashes,
+    /// counts the files the dirty set can affect under the previous or the
+    /// current contents, and eagerly re-runs each tool over the whole
+    /// project — so the work happens here, off the client's next-`analyze`
+    /// latency path, and that analyze is a pure outcome-cache hit.
+    /// Unchanged files hit the content-keyed unit/summary tiers; only the
+    /// dirty set re-parses, and the reply reports the measured re-parse
+    /// count rather than assuming it.
     fn invalidate(&self, ctx: &RequestCtx, request: &InvalidateRequest) -> Result<Json, String> {
         let t0 = Instant::now();
         // Attribute each changed path to the longest known root it falls
@@ -413,12 +437,29 @@ impl Service for AnalysisServer {
             );
             dirty.sort();
             total_dirty += dirty.len() as u64;
-            // The graph of the *previous* contents knows who depended on
-            // the edited files. No graph cached (first contact after a
-            // restart with a cold depgraph namespace) degrades to "assume
+            // Callers an edit loses show in the previous contents' units,
+            // callers it gains in the current ones. A previous unit found
+            // neither in memory nor on disk degrades to "assume
             // everything", never to a stale answer.
-            let affected: Vec<String> = match self.caches.lookup_depgraph(state.key) {
-                Some(graph) => graph.dependents_of(&dirty),
+            let parse_misses_before = self.caches.totals().parse.misses;
+            let affected: Vec<String> = match self.previous_units(&state.file_hashes) {
+                Some(old) => {
+                    // Unchanged contents share their unit; only changed
+                    // contents are looked up, and parsed if new.
+                    let known: HashMap<ContentKey, &Arc<FileUnit>> = old
+                        .iter()
+                        .map(|(path, unit)| (state.file_hashes[*path], unit))
+                        .collect();
+                    let unit = |f: &SourceFile, key| match known.get(&key) {
+                        Some(&unit) => Arc::clone(unit),
+                        None => self.caches.ast().unit(&f.content, key),
+                    };
+                    let files = project.files().iter().zip(project.file_keys());
+                    let new: Vec<(&str, Arc<FileUnit>)> = files
+                        .map(|(f, &key)| (f.path.as_str(), unit(f, key)))
+                        .collect();
+                    affected_files(&old, &new, &dirty)
+                }
                 None => project.files().iter().map(|f| f.path.clone()).collect(),
             };
             phpsafe_obs::count("incremental.files_dirty", dirty.len() as u64);
@@ -426,7 +467,6 @@ impl Service for AnalysisServer {
 
             let key = project.content_key();
             let tools = self.resolve_tools(&state.tools)?;
-            let parse_misses_before = self.caches.totals().parse.misses;
             let mut reanalyzed = false;
             for (_, tool) in &tools {
                 if self.cached_report(tool, key).is_none() {
@@ -449,7 +489,6 @@ impl Service for AnalysisServer {
             self.projects.lock().unwrap().insert(
                 root.clone(),
                 ProjectState {
-                    key,
                     file_hashes: new_hashes,
                     tools: state.tools.clone(),
                 },
@@ -523,7 +562,6 @@ impl Service for AnalysisServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn write_plugin(root: &Path, body: &str) {
         std::fs::create_dir_all(root).unwrap();
@@ -663,7 +701,8 @@ mod tests {
         // An envelope in the layout before the build stamp (format word 2,
         // crate version `0.1.0`) holding a report no analysis produces,
         // where the outcome for this project belongs.
-        let key = load_project(&plugin).unwrap().content_key();
+        let project = load_project(&plugin).unwrap().content_key();
+        let key = outcome_key(project, &PhpSafe::new());
         let payload = br#"{"stale":true}"#;
         let mut sealed = b"PSC1".to_vec();
         sealed.extend_from_slice(&2u32.to_le_bytes());
@@ -729,11 +768,7 @@ mod tests {
             .map(|p| p.parent().unwrap().file_name().unwrap().to_owned())
             .collect();
         namespaces.dedup();
-        assert_eq!(
-            namespaces.len(),
-            3,
-            "ast, depgraph and outcome: {written:?}"
-        );
+        assert_eq!(namespaces.len(), 2, "ast and outcome: {written:?}");
         for path in &written {
             let mut bytes = std::fs::read(path).unwrap();
             for b in &mut bytes[4..12] {
@@ -827,8 +862,7 @@ mod tests {
         let p = &projects[0];
         assert_eq!(p.get("files"), Some(&Json::Num(3.0)));
         assert_eq!(p.get("dirty"), Some(&Json::Num(1.0)));
-        // The dependency graph knows main.php requires lib.php; other.php
-        // is untouched by the edit.
+        // main.php requires lib.php; other.php is untouched by the edit.
         assert_eq!(p.get("affected"), Some(&Json::Num(2.0)));
         assert_eq!(p.get("reanalyzed"), Some(&Json::Bool(true)));
         // Only the edited file re-parsed; the rest hit the AST cache.
@@ -846,6 +880,31 @@ mod tests {
             .analyze(&RequestCtx::detached(), &req)
             .unwrap();
         assert_eq!(warm.get("reports"), cold.get("reports"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `a.php` calls `foo()`; an edit to `d.php` that declares `foo`
+    /// affects `a.php` whether the declaration is new or was there before.
+    #[test]
+    fn invalidate_counts_callers_an_edit_gains() {
+        let dir = temp_dir("gained-caller");
+        let plugin = dir.join("plugin");
+        let req = request(vec![plugin.display().to_string()]);
+        let d_php = plugin.join("d.php").display().to_string();
+        for before in ["<?php echo 1;", "<?php function foo() { return 1; }"] {
+            write_file(&plugin, "a.php", "<?php echo foo();");
+            write_file(&plugin, "d.php", before);
+            let server = AnalysisServer::new();
+            server.analyze(&RequestCtx::detached(), &req).unwrap();
+            write_file(&plugin, "d.php", "<?php function foo() { return 2; }");
+            let paths = vec![d_php.clone()];
+            let result = server
+                .invalidate(&RequestCtx::detached(), &InvalidateRequest { paths })
+                .unwrap();
+            let p = &result.get("projects").and_then(Json::as_arr).unwrap()[0];
+            assert_eq!(p.get("dirty"), Some(&Json::Num(1.0)), "{before}");
+            assert_eq!(p.get("affected"), Some(&Json::Num(2.0)), "{before}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -76,6 +76,12 @@ impl<K: Eq + Hash, V> ArtifactCache<K, V> {
         found
     }
 
+    /// Looks `key` up without counting a hit or miss, for bookkeeping
+    /// that is not a request for the artifact.
+    pub fn peek(&self, key: &K) -> Option<Arc<V>> {
+        self.map.lock().unwrap().get(key).cloned()
+    }
+
     /// Stores an artifact, returning the shared handle. If another worker
     /// raced us to the key, their artifact wins (callers must produce
     /// equivalent artifacts for equal keys).
@@ -127,6 +133,8 @@ mod tests {
         cache.insert(1, "one".to_string());
         assert_eq!(cache.get(&1).as_deref().map(String::as_str), Some("one"));
         assert!(cache.get(&2).is_none());
+        // Peeks are not lookups.
+        assert!(cache.peek(&1).is_some() && cache.peek(&2).is_none());
         let c = cache.counters();
         assert_eq!((c.hits, c.misses), (1, 2));
         assert_eq!(c.lookups(), 3);

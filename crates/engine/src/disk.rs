@@ -1,8 +1,8 @@
 //! Persistent on-disk artifact cache.
 //!
 //! [`DiskCache`] is the durable tier behind the in-memory
-//! [`ArtifactCache`](crate::ArtifactCache)s: artifacts (serialized ASTs,
-//! dependency graphs, rendered analysis outcomes) survive the process, so
+//! [`ArtifactCache`](crate::ArtifactCache)s: artifacts (serialized ASTs
+//! and rendered analysis outcomes) survive the process, so
 //! a fresh daemon — or a batch CLI run pointed at the same `--cache-dir` —
 //! warm-starts from a prior run instead of repaying the full parse/analyze
 //! cost.
@@ -78,8 +78,8 @@ pub struct DiskCounters {
 /// A persistent, content-addressed artifact store rooted at one directory.
 ///
 /// Entries live under `<root>/<namespace>/<hash>-<len>.psc`; the namespace
-/// separates artifact kinds (`"ast"`, `"depgraph"`, `"outcome"`) that
-/// share a content key space. All operations are infallible at the API level:
+/// separates artifact kinds (`"ast"`, `"outcome"`) that share a content
+/// key space. All operations are infallible at the API level:
 /// I/O errors degrade to misses (with a warning on stderr), never into the
 /// analysis result.
 pub struct DiskCache {
@@ -639,12 +639,12 @@ mod tests {
         );
 
         // This build's entries survive the next sweep.
-        assert!(cache.store("depgraph", key, 0, b"current"));
+        assert!(cache.store("outcome", key, 0, b"current"));
         let reopened = DiskCache::open(&root).unwrap();
         assert_eq!(reopened.counters().evicted, 0);
         assert_eq!(reopened.bytes_on_disk(), cache.bytes_on_disk());
         assert_eq!(
-            reopened.load("depgraph", key, 0).as_deref(),
+            reopened.load("outcome", key, 0).as_deref(),
             Some(&b"current"[..])
         );
     }

@@ -4,7 +4,7 @@
 //! The paper's 2015 artifact analyzed one file at a time on one core,
 //! re-parsing every file for every tool even though the 2014 plugin
 //! snapshots carry most 2012 files over unchanged. This crate supplies the
-//! three pieces a production-scale runner needs, with no dependencies on
+//! pieces a production-scale runner needs, with no dependencies on
 //! the analysis crates (they depend on us):
 //!
 //! * [`pool`] — a `std::thread` worker pool that fans jobs out across `N`
@@ -17,7 +17,10 @@
 //!   (build-stamped envelopes, atomic writes, corruption-tolerant loads,
 //!   a sweep of other builds' entries at open) so artifacts
 //!   survive the process and a daemon or `--cache-dir` CLI run
-//!   warm-starts from a prior one.
+//!   warm-starts from a prior one;
+//! * [`depgraph`] — the file dependency graph a daemon's `invalidate`
+//!   resolves in memory to count the files an edit can affect. It is never
+//!   persisted.
 //!
 //! Observability lives in `phpsafe-obs`: each [`run_ordered`] call records
 //! its scheduler statistics (`engine.*` counters, `engine.wall` /

@@ -50,10 +50,6 @@ const DECLARED_COUNTERS: &[&str] = &[
     "diskcache.bytes_read",
     "diskcache.bytes_written",
     "diskcache.store_failed",
-    "depgraph.builds",
-    "depgraph.hits",
-    "depgraph.nodes",
-    "depgraph.edges",
     "depgraph.invalidated",
     "incremental.files_dirty",
     "incremental.files_reanalyzed",

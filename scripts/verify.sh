@@ -108,11 +108,9 @@ for key in serve.requests serve.accepted serve.request serve.analyze \
            serve.invalidate serve.request.queue_wait serve.request.wide_events \
            serve.worker_panics diskcache.misses diskcache.stores \
            diskcache.bytes_read diskcache.bytes_written \
-           diskcache.store_failed depgraph.builds depgraph.hits \
-           depgraph.nodes depgraph.edges depgraph.invalidated \
+           diskcache.store_failed depgraph.invalidated \
            incremental.files_dirty incremental.files_reanalyzed \
-           diskcache.bytes_on_disk.ast diskcache.bytes_on_disk.outcome \
-           diskcache.bytes_on_disk.depgraph; do
+           diskcache.bytes_on_disk.ast diskcache.bytes_on_disk.outcome; do
     sed -n 3p "$serve_out" | grep -q "\"$key\"" || {
         echo "verify: daemon metrics reply is missing key $key" >&2
         exit 1
@@ -138,7 +136,8 @@ grep -q '"queue_wait_us"' "$serve_telemetry" || {
 
 # Smoke: a second daemon of the same build answers the saved plugin from
 # the first one's outcome entry (the invalidate above stored it), so the
-# build stamp is stable across processes. No call summaries reach disk.
+# build stamp is stable across processes. No call summaries or dependency
+# graphs reach disk.
 second_out="$(printf '{"cmd":"analyze","paths":["%s"]}\n' "$serve_plugin" |
     cargo run -q --release --offline -p phpsafe --bin phpsafe -- \
         serve --stdio --cache-dir "$serve_cache" 2>/dev/null)"
@@ -146,7 +145,9 @@ grep -q '"fully_cached":true' <<<"$second_out" || {
     echo "verify: a second daemon missed the first one's cache entries" >&2
     exit 1
 }
-[ ! -e "$serve_cache/summary" ] || {
-    echo "verify: the cache dir holds a summary namespace" >&2
-    exit 1
-}
+for ns in summary depgraph; do
+    [ ! -e "$serve_cache/$ns" ] || {
+        echo "verify: the cache dir holds a $ns namespace" >&2
+        exit 1
+    }
+done

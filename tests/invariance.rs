@@ -10,8 +10,10 @@
 mod harness;
 
 use harness::*;
-use phpsafe::caching::AST_NAMESPACE;
-use phpsafe::{explain_outcome, load_project, EngineCaches, PhpSafe, PluginProject, SourceFile};
+use phpsafe::caching::{FileUnit, AST_NAMESPACE};
+use phpsafe::{
+    affected_files, explain_outcome, load_project, EngineCaches, PhpSafe, PluginProject, SourceFile,
+};
 use phpsafe_baselines::{paper_tools, Pixy, Rips};
 use phpsafe_corpus::{Corpus, GeneratedPlugin, Version};
 use phpsafe_engine::{run_ordered, ContentKey, DiskCache, DiskCounters};
@@ -19,6 +21,7 @@ use phpsafe_eval::Evaluation;
 use phpsafe_obs::Snapshot;
 use phpsafe_serve::Json;
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 use taint_config::VulnClass;
@@ -332,6 +335,31 @@ fn explain_chains_match_single_plugin_runs_at_any_worker_count() {
     }
 }
 
+/// The files an edit of each single file of both corpus versions affects,
+/// computed by the function `invalidate` calls over the file units, equal
+/// `affected.txt`, which an earlier build wrote from the dependency graph
+/// its analyzer stored per project.
+#[test]
+fn one_file_edits_affect_the_golden_sets() {
+    let _obs = obs_lock();
+    let (corpus, caches) = (Corpus::generate(), EngineCaches::new());
+    let mut text = String::new();
+    for version in Version::ALL {
+        for plugin in corpus.plugins() {
+            let project = plugin.project(version);
+            let files = project.files().iter().zip(project.file_keys());
+            let units: Vec<(&str, Arc<FileUnit>)> = files
+                .map(|(f, &key)| (f.path.as_str(), caches.ast().unit(&f.content, key)))
+                .collect();
+            for &(path, _) in &units {
+                let affected = affected_files(&units, &units, &[path]).join(" ");
+                writeln!(text, "{version:?} {} {path}: {affected}", project.name()).unwrap();
+            }
+        }
+    }
+    assert_goldens("units", &[("affected.txt", text)]);
+}
+
 /// Each of repeated one-file edits on the 2014 corpus re-parses under 5%
 /// of its files, and every reply stays byte-identical to a batch run.
 #[test]
@@ -423,6 +451,42 @@ fn daemon_matches_batch_cold_after_restart_and_over_a_garbled_cache() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A daemon restarted over a warm cache dir, whose analyze of a root is
+/// fully cached, answers an edit's `invalidate` with the `dirty` and
+/// `affected` of a daemon that never restarted: the units of the root's
+/// previous contents come from the AST tier by key.
+#[test]
+fn invalidate_after_a_restart_affects_the_same_files() {
+    let _obs = obs_lock();
+    let root = temp_dir("restart-edit");
+    let corpus = Corpus::generate();
+    let plugin = corpus.plugins()[0].project(Version::V2014);
+    let mut counts = Vec::new();
+    for restart in [false, true] {
+        let dir = write_project(plugin, &root.join(format!("plugins-{restart}")));
+        let cache = root.join(format!("cache-{restart}"));
+        let mut daemon = start(disk_server(&cache, 1).1);
+        reports_of(&ask(&daemon, &analyze_line(&dir, &[], &[])));
+        if restart {
+            stop(&daemon);
+            daemon = start(disk_server(&cache, 1).1);
+            assert!(fully_cached(&ask(&daemon, &analyze_line(&dir, &[], &[]))));
+        }
+        let edited = dir.join("includes/functions.php");
+        let content = std::fs::read_to_string(&edited).unwrap();
+        std::fs::write(&edited, content + "\n// restart edit\n").unwrap();
+        let result = result_of(&ask(&daemon, &invalidate_line(&edited)));
+        let project = &result.get("projects").and_then(Json::as_arr).unwrap()[0];
+        let num = |k: &str| project.get(k).and_then(Json::as_num).unwrap();
+        counts.push((num("dirty"), num("affected")));
+        stop(&daemon);
+    }
+    // The main file includes the edited one; the other ten files are not
+    // affected, so the count is not the "every file" fallback.
+    assert_eq!(counts, [(1.0, 2.0), (1.0, 2.0)]);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// RIPS and Pixy are `PhpSafe` configurations: registered as such, each
 /// tool's outcome-tier entry is guarded by its own config fingerprint, so
 /// a repeated request never returns another tool's report.
@@ -443,7 +507,10 @@ fn daemon_dispatches_all_three_paper_tools() {
         .collect();
     let line = analyze_line(&dir, &["phpSAFE", "RIPS", "Pixy"], &[]);
     for pass in ["cold", "repeated"] {
-        assert_eq!(reports_of(&ask(&daemon, &line)), direct, "{pass}");
+        let reply = ask(&daemon, &line);
+        assert_eq!(reports_of(&reply), direct, "{pass}");
+        // Each tool keeps its own outcome entry, so a repeat is all hits.
+        assert_eq!(fully_cached(&reply), pass == "repeated", "{pass}");
     }
     stop(&daemon);
     let _ = std::fs::remove_dir_all(&root);
