@@ -9,11 +9,11 @@ use crate::project::PluginProject;
 use crate::symbols::{FnRef, SymbolTable};
 use php_ast::visit::{self, Visitor};
 use php_ast::{parse, Arena, Callee, Expr, ExprId, Lit};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeSet;
 
 /// Inventory of one file.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct FileInventory {
     /// File path.
     pub path: String,
@@ -34,7 +34,7 @@ pub struct FileInventory {
 }
 
 /// Whole-project inventory.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Inspection {
     /// Plugin name.
     pub plugin: String,

@@ -3,11 +3,10 @@
 //! filesystem loader every front end (batch CLI, daemon) shares.
 
 use phpsafe_engine::ContentKey;
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// One PHP source file of a plugin.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SourceFile {
     /// Plugin-relative path, e.g. `includes/admin.php`.
     pub path: String,
@@ -52,35 +51,6 @@ pub struct PluginProject {
     files: Vec<SourceFile>,
     /// `ContentKey::of` each file's content, index-aligned with `files`.
     keys: Vec<ContentKey>,
-}
-
-/// The serialized form of a [`PluginProject`]: the per-file keys are
-/// derived data, recomputed on load rather than trusted from the input.
-#[derive(Serialize, Deserialize)]
-struct ProjectWire {
-    name: String,
-    files: Vec<SourceFile>,
-}
-
-impl Serialize for PluginProject {
-    fn serialize(&self, s: &mut serde::Serializer) {
-        ProjectWire {
-            name: self.name.clone(),
-            files: self.files.clone(),
-        }
-        .serialize(s);
-    }
-}
-
-impl Deserialize for PluginProject {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let wire = ProjectWire::deserialize(v)?;
-        let mut project = PluginProject::new(wire.name);
-        for file in wire.files {
-            project.push_file(file);
-        }
-        Ok(project)
-    }
 }
 
 impl PluginProject {
@@ -306,13 +276,5 @@ mod tests {
             .with_file(SourceFile::new("a.php", "<?php echo 1;"))
             .with_file(SourceFile::new("b.php", "<?php echo 2;"));
         assert_ne!(a.content_key(), renamed.content_key());
-    }
-
-    #[test]
-    fn serialization_round_trips_and_rederives_keys() {
-        let p = PluginProject::new("p").with_file(SourceFile::new("a.php", "<?php echo 1;"));
-        let json = serde_json::to_string(&p).unwrap();
-        let back: PluginProject = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, p);
     }
 }

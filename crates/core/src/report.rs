@@ -3,11 +3,11 @@
 //! processing* stage (§III.D).
 
 use crate::taint::TraceStep;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use taint_config::{SourceKind, TaintLabels, VulnClass};
 
 /// A reported vulnerability.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Vulnerability {
     /// Vulnerability class.
     pub class: VulnClass,
@@ -42,7 +42,7 @@ impl Vulnerability {
 }
 
 /// Why a file could not be analyzed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum FileFailure {
     /// Resource limit exceeded (the paper: "required a lot of memory").
     ResourceLimit(String),
@@ -60,7 +60,7 @@ impl std::fmt::Display for FileFailure {
 }
 
 /// Per-file analysis record (feeds the paper's robustness numbers).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct FileReport {
     /// File path.
     pub path: String,
@@ -73,7 +73,7 @@ pub struct FileReport {
 }
 
 /// Aggregate statistics for one plugin analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct AnalysisStats {
     /// Files analyzed to completion.
     pub files_ok: usize,
@@ -92,7 +92,7 @@ pub struct AnalysisStats {
 }
 
 /// The complete outcome of analyzing one plugin with one tool.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AnalysisOutcome {
     /// Tool that produced the outcome (`phpSAFE`, `RIPS`, `Pixy`).
     pub tool: String,
@@ -207,22 +207,69 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
+    fn to_json_writes_the_pinned_bytes() {
+        let mut v = vuln(VulnClass::Xss, "a.php", 2, "echo");
+        v.trace.push(TraceStep {
+            file: "a.php".into(),
+            line: 1,
+            what: "$x <- $_GET[\"x\"]".into(),
+        });
         let o = AnalysisOutcome {
             tool: "phpSAFE".into(),
             plugin: "demo".into(),
-            vulns: vec![vuln(VulnClass::Xss, "a.php", 1, "echo")],
+            vulns: vec![v],
             files: vec![FileReport {
                 path: "a.php".into(),
                 loc: 10,
-                parse_errors: 0,
-                failure: None,
+                parse_errors: 1,
+                failure: Some(FileFailure::Unsupported("closure\tuse".into())),
             }],
             stats: AnalysisStats::default(),
         };
-        let j = o.to_json().expect("serialize");
-        let back: AnalysisOutcome = serde_json::from_str(&j).expect("deserialize");
-        assert_eq!(back, o);
+        let want = r#"{
+  "tool": "phpSAFE",
+  "plugin": "demo",
+  "vulns": [
+    {
+      "class": "Xss",
+      "file": "a.php",
+      "line": 2,
+      "sink": "echo",
+      "var": "$x",
+      "source_kind": "Get",
+      "labels": 1,
+      "via_oop": false,
+      "numeric_hint": false,
+      "trace": [
+        {
+          "file": "a.php",
+          "line": 1,
+          "what": "$x <- $_GET[\"x\"]"
+        }
+      ]
+    }
+  ],
+  "files": [
+    {
+      "path": "a.php",
+      "loc": 10,
+      "parse_errors": 1,
+      "failure": {
+        "Unsupported": "closure\tuse"
+      }
+    }
+  ],
+  "stats": {
+    "files_ok": 0,
+    "files_failed": 0,
+    "loc": 0,
+    "functions": 0,
+    "classes": 0,
+    "uncalled_functions": 0,
+    "work_units": 0
+  }
+}"#;
+        assert_eq!(o.to_json().unwrap(), want);
     }
 
     #[test]

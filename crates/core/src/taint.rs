@@ -5,7 +5,7 @@
 //! data-flow trace back to the entry point.
 
 use phpsafe_intern::Symbol;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use taint_config::{SourceKind, TaintLabels, VulnClass};
 
 /// Taint state of a value: for each vulnerability class, the *set* of input
@@ -105,52 +105,9 @@ impl Taint {
     }
 }
 
-// Manual serde impls: the offline serde shim has no `[T; N]` deserialize,
-// so the label array is written as a plain JSON array of bitset words.
-impl Serialize for Taint {
-    fn serialize(&self, s: &mut serde::Serializer) {
-        s.begin_obj();
-        s.key("labels");
-        s.begin_arr();
-        for l in &self.labels {
-            s.uint(l.0 as u64);
-        }
-        s.end_arr();
-        s.key("oop");
-        s.boolean(self.oop);
-        s.end_obj();
-    }
-}
-
-impl Deserialize for Taint {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_obj()
-            .ok_or_else(|| serde::Error::expected("object", "Taint"))?;
-        let arr = serde::obj_field(obj, "labels")
-            .as_arr()
-            .ok_or_else(|| serde::Error::expected("array", "Taint.labels"))?;
-        if arr.len() != VulnClass::COUNT {
-            return Err(serde::Error::msg(format!(
-                "expected {} label sets, got {}",
-                VulnClass::COUNT,
-                arr.len()
-            )));
-        }
-        let mut labels = [TaintLabels::EMPTY; VulnClass::COUNT];
-        for (slot, item) in labels.iter_mut().zip(arr) {
-            *slot = TaintLabels(u16::deserialize(item)?);
-        }
-        Ok(Taint {
-            labels,
-            oop: bool::deserialize(serde::obj_field(obj, "oop"))?,
-        })
-    }
-}
-
 /// One step of a data-flow trace (the paper's "flow of the vulnerable data
 /// from variable to variable").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TraceStep {
     /// File path (interned; serializes as a plain string).
     pub file: Symbol,
@@ -161,7 +118,7 @@ pub struct TraceStep {
 }
 
 /// Full analysis state of one variable/property — a `parser_variables` row.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct VarState {
     /// Current taint.
     pub taint: Taint,
@@ -308,18 +265,6 @@ mod tests {
             assert!(removed.is_tainted(class));
         }
         assert_eq!(kept.join(removed), t, "revert restores all labels");
-    }
-
-    #[test]
-    fn taint_serde_roundtrip() {
-        let t = Taint::from_oop_source(SourceKind::Cookie)
-            .join(Taint::from_source(SourceKind::File))
-            .sanitize(&[VulnClass::Sqli])
-            .0;
-        let json = serde::to_json_string(&t, false);
-        let v = serde::parse_json(&json).expect("parse");
-        let back = <Taint as serde::Deserialize>::deserialize(&v).expect("deserialize");
-        assert_eq!(t, back);
     }
 
     #[test]

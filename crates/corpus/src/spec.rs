@@ -7,12 +7,12 @@
 //! plugins × 2 versions so the corpus-wide aggregates reproduce the shape
 //! of the paper's evaluation.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use taint_config::{SourceKind, VectorClass, VulnClass};
 
 /// Plugin snapshot version, mirroring the paper's two data points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum Version {
     /// The 2012 snapshot (analyzed and disclosed in 2013).
     V2012,
@@ -40,7 +40,7 @@ impl fmt::Display for Version {
 }
 
 /// Where a snippet is planted inside a plugin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Placement {
     /// Top-level statements of a file (the "main flow").
     TopLevel,
@@ -55,7 +55,7 @@ pub enum Placement {
 /// `Xss*`/`Sqli*` patterns are ground-truth **positives**; `Fp*` patterns
 /// are **negatives** crafted to trip specific tool weaknesses; `Safe*` is
 /// inert filler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Pattern {
     /// `echo $_GET[...]` (vector per [`SourceKind`]) at the given placement.
     XssEchoDirect(SourceKind, Placement),
@@ -181,7 +181,7 @@ impl Pattern {
 }
 
 /// How many instances of a pattern a plugin carries in each version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PatternCount {
     /// The pattern.
     pub pattern: Pattern,
@@ -216,7 +216,7 @@ impl PatternCount {
 }
 
 /// Coding style of a plugin (19 of the paper's 35 are OOP).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Style {
     /// Classes + methods; hook handlers are methods.
     Oop,
@@ -225,7 +225,7 @@ pub enum Style {
 }
 
 /// Specification of one synthetic plugin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PluginSpec {
     /// Plugin slug, e.g. `wp-symposium`.
     pub name: String,
@@ -253,7 +253,7 @@ pub struct PluginSpec {
 
 /// A ground-truth vulnerability record, the oracle the paper's "manual
 /// verification by a security expert" plays.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct GroundTruthEntry {
     /// Stable id; carried vulnerabilities keep the same id across versions.
     pub id: String,

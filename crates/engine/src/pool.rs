@@ -28,7 +28,8 @@ pub struct PoolStats {
 impl PoolStats {
     /// Records this run into the global observability registry (no-op
     /// while instrumentation is disabled). `engine.workers` accumulates
-    /// across runs; divide by `engine.runs` for the mean pool width.
+    /// across runs; divide by `engine.runs` for the mean pool width. The
+    /// `engine.queue_wait` samples are recorded per job, by [`picked_up`].
     fn record(&self) {
         if !phpsafe_obs::enabled() {
             return;
@@ -36,9 +37,16 @@ impl PoolStats {
         phpsafe_obs::count("engine.runs", 1);
         phpsafe_obs::count("engine.jobs_run", self.jobs_run);
         phpsafe_obs::count("engine.workers", self.workers as u64);
-        phpsafe_obs::time("engine.queue_wait", self.queue_wait);
         phpsafe_obs::time("engine.wall", self.wall);
     }
+}
+
+/// A job of the run that started at `started` is picked up: its wait
+/// since submission is one `engine.queue_wait` sample.
+fn picked_up(started: Instant) -> Duration {
+    let waited = started.elapsed();
+    phpsafe_obs::time("engine.queue_wait", waited);
+    waited
 }
 
 /// Resolves a user-requested worker count against the machine.
@@ -107,7 +115,7 @@ where
             .enumerate()
             .map(|(i, job)| {
                 // A job "waits" from submission until it starts running.
-                queue_wait += started.elapsed();
+                queue_wait += picked_up(started);
                 run(i, job)
             })
             .collect();
@@ -130,7 +138,8 @@ where
             scope.spawn(|| loop {
                 let job = queue.lock().unwrap().pop_front();
                 let Some((idx, item)) = job else { break };
-                waited_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                let waited = picked_up(started).as_nanos() as u64;
+                waited_ns.fetch_add(waited, Ordering::Relaxed);
                 let out = run(idx, item);
                 *slots[idx].lock().unwrap() = Some(out);
             });

@@ -8,12 +8,11 @@
 //! **introduced**.
 
 use phpsafe_corpus::{Corpus, Version};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
 /// Evolution record for one plugin.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PluginEvolution {
     /// Plugin slug.
     pub plugin: String,

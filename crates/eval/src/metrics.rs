@@ -3,10 +3,8 @@
 //! tool are the confirmed vulnerabilities *other tools* found that it
 //! missed, because no exhaustive manual audit existed.
 
-use serde::{Deserialize, Serialize};
-
 /// How false negatives are determined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecallMode {
     /// The paper's rule: FN = (union of all tools' confirmed findings) −
     /// (this tool's confirmed findings).
@@ -17,7 +15,7 @@ pub enum RecallMode {
 }
 
 /// Classification metrics for one (tool, version, class) cell of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Metrics {
     /// True positives.
     pub tp: usize,

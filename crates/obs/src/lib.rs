@@ -18,7 +18,12 @@
 //!   retaining the slowest-K and errored requests;
 //! * [`out`] — crash-safe artifact output: [`write_atomic`] (temp file +
 //!   rename) and the [`TelemetrySink`] NDJSON wide-event stream behind
-//!   `--telemetry-out`.
+//!   `--telemetry-out`;
+//! * [`json`] — the workspace's one JSON codec: the [`json::Json`] value,
+//!   the hardened parser the daemon reads requests with, and the one
+//!   string escaper [`json::write_str`] that reports, snapshots, wide
+//!   events and replies are written with. It sits here, at the bottom of
+//!   the dependency graph, so that the `serde` shim can use it too.
 //!
 //! The span names follow the paper's four pipeline stages (configuration,
 //! model construction, analysis, results processing): `stage.lex` and
@@ -39,6 +44,7 @@
 
 #![warn(missing_docs)]
 
+pub mod json;
 pub mod metrics;
 pub mod out;
 pub mod span;

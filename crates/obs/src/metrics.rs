@@ -8,6 +8,7 @@
 //! registry; [`Snapshot::since`] subtracts an earlier snapshot so callers
 //! can attribute counts and timings to one run of a long-lived process.
 
+use crate::json::write_str;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -451,28 +452,27 @@ impl Snapshot {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"counters\": {");
         for (i, (name, v)) in self.counters.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    {}: {v}", json_string(name));
+            json_entry(&mut out, i, name);
+            let _ = write!(out, "{v}");
         }
         if !self.counters.is_empty() {
             out.push_str("\n  ");
         }
         out.push_str("},\n  \"gauges\": {");
         for (i, (name, v)) in self.gauges.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    {}: {v}", json_string(name));
+            json_entry(&mut out, i, name);
+            let _ = write!(out, "{v}");
         }
         if !self.gauges.is_empty() {
             out.push_str("\n  ");
         }
         out.push_str("},\n  \"histograms\": {");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
+            json_entry(&mut out, i, name);
             let p = h.percentiles();
             let _ = write!(
                 out,
-                "{sep}\n    {}: {{\"count\": {}, \"sum_us\": {}, \"p50_us\": {}, \"p90_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \"max_us\": {}}}",
-                json_string(name),
+                "{{\"count\": {}, \"sum_us\": {}, \"p50_us\": {}, \"p90_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \"max_us\": {}}}",
                 p.count,
                 p.sum_us,
                 p.p50_us,
@@ -590,25 +590,12 @@ fn prom_name(name: &str) -> String {
     out
 }
 
-/// Escapes a string as a JSON string literal.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// Starts entry `i` of a [`Snapshot::to_json`] section: the separator,
+/// the indent and the escaped `name` as the key.
+fn json_entry(out: &mut String, i: usize, name: &str) {
+    out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+    write_str(out, name);
+    out.push_str(": ");
 }
 
 #[cfg(test)]
@@ -782,16 +769,39 @@ mod tests {
     fn json_shape_and_escaping() {
         let r = Registry::new();
         r.count("cache.parse.hits", 12);
+        r.count("a\"b\\c\nd", 1);
         r.time("stage.lex", Duration::from_micros(100));
         let j = r.snapshot().to_json();
         assert!(j.contains("\"cache.parse.hits\": 12"));
+        assert!(j.contains("\"a\\\"b\\\\c\\nd\": 1"));
         assert!(j.contains("\"stage.lex\""));
         assert!(j.contains("\"p95_us\""));
         assert!(j.contains("\"p90_us\""));
         assert!(j.contains("\"p99_us\""));
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         let empty = Snapshot::default().to_json();
         assert!(empty.contains("\"counters\": {}"));
+    }
+
+    #[test]
+    fn snapshot_json_bytes_are_pinned() {
+        let latency = Histogram::new();
+        for us in [100, 200, 3_000] {
+            latency.record_us(us);
+        }
+        let mut snap = Snapshot::default();
+        snap.counters.insert("cache.parse.hits".into(), 12);
+        snap.counters.insert("odd \"name\"\\\t\u{1}é".into(), 3);
+        snap.gauges.insert("diskcache.bytes_on_disk.ast".into(), 40);
+        snap.histograms
+            .insert("stage.lex".into(), latency.snapshot());
+        assert_eq!(
+            snap.to_json(),
+            "{\n  \"counters\": {\n    \"cache.parse.hits\": 12,\n    \
+             \"odd \\\"name\\\"\\\\\\t\\u0001é\": 3\n  },\n  \"gauges\": {\n    \
+             \"diskcache.bytes_on_disk.ast\": 40\n  },\n  \"histograms\": {\n    \
+             \"stage.lex\": {\"count\": 3, \"sum_us\": 3300, \"p50_us\": 255, \
+             \"p90_us\": 3000, \"p95_us\": 3000, \"p99_us\": 3000, \"max_us\": 3000}\n  }\n}\n"
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
-use crate::metrics::json_string;
+use crate::json::write_str;
 
 /// One request's telemetry record: everything needed to explain its
 /// latency without correlating logs.
@@ -62,18 +62,16 @@ impl WideEvent {
     /// a flat JSON object with the marks nested under `"marks"`.
     pub fn to_ndjson(&self) -> String {
         let mut out = String::with_capacity(160);
-        let _ = write!(
-            out,
-            "{{\"seq\":{},\"method\":{},\"outcome\":{}",
-            self.seq,
-            json_string(&self.method),
-            json_string(&self.outcome)
-        );
+        let _ = write!(out, "{{\"seq\":{},\"method\":", self.seq);
+        write_str(&mut out, &self.method);
+        out.push_str(",\"outcome\":");
+        write_str(&mut out, &self.outcome);
         if let Some(id) = &self.client_id {
             let _ = write!(out, ",\"id\":{id}");
         }
         if let Some(key) = &self.content_key {
-            let _ = write!(out, ",\"content_key\":{}", json_string(key));
+            out.push_str(",\"content_key\":");
+            write_str(&mut out, key);
         }
         let _ = write!(
             out,
@@ -86,7 +84,8 @@ impl WideEvent {
                 if i > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "{}:{us}", json_string(name));
+                write_str(&mut out, name);
+                let _ = write!(out, ":{us}");
             }
             out.push('}');
         }

@@ -6,7 +6,6 @@
 //! name the paper refers to (e.g. `"T_VARIABLE"`).
 
 use phpsafe_intern::Symbol;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of a PHP token.
@@ -14,7 +13,7 @@ use std::fmt;
 /// Compound variants correspond to PHP `T_*` token identifiers; punctuation
 /// variants correspond to the bare one/two-character strings PHP's
 /// `token_get_all` returns outside of arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // variant names are self-describing PHP token names
 pub enum TokenKind {
     // --- structure ---

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::json::Json;
+use phpsafe_obs::json::Json;
 
 /// Per-request context: identity, deadline, and the telemetry scratchpad.
 #[derive(Debug)]

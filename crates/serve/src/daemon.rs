@@ -27,12 +27,12 @@ use std::time::{Duration, Instant};
 use phpsafe_obs::{count, snapshot, time, TailSampler, TelemetrySink, WideEvent};
 
 use crate::ctx::RequestCtx;
-use crate::json::Json;
 use crate::proto::{
     error_response, ok_response, parse_line, AnalyzeRequest, InvalidateRequest, ParseFailure,
     Request,
 };
 use crate::queue::{BoundedQueue, PushError};
+use phpsafe_obs::json::Json;
 
 /// Counters pre-registered at daemon start, so the full metric surface is
 /// scrapeable (and greppable by harnesses) before the first request.
@@ -445,7 +445,7 @@ impl Daemon {
         // The snapshot renders as a pretty multi-line document;
         // re-emit it compactly so the response stays on one line.
         let doc = snapshot().to_json();
-        let metrics = match crate::json::parse(&doc) {
+        let metrics = match phpsafe_obs::json::parse(&doc) {
             Ok(value) => value,
             Err(_) => Json::Str(doc),
         };
@@ -627,7 +627,7 @@ pub fn run_tcp(daemon: &Arc<Daemon>, listener: TcpListener) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
+    use phpsafe_obs::json::parse;
     use std::sync::Barrier;
 
     /// Echoes the request back; optionally announces entry on a channel

@@ -31,13 +31,12 @@
 
 pub mod ctx;
 pub mod daemon;
-pub mod json;
 pub mod proto;
 pub mod queue;
 
 pub use ctx::RequestCtx;
 pub use daemon::{bind, run_stdio, run_tcp, Control, Daemon, ServerConfig, Service};
-pub use json::{parse, Json};
+pub use phpsafe_obs::json::{parse, Json};
 pub use proto::{
     error_response, ok_response, parse_line, AnalyzeRequest, Envelope, InvalidateRequest,
     ParseFailure, Request,

@@ -24,7 +24,7 @@
 //! field-validation `400` still echoes it), so any reply can be
 //! correlated with its wide event in the telemetry stream.
 
-use crate::json::{parse, Json};
+use phpsafe_obs::json::{parse, Json};
 
 /// Parameters of an `analyze` request.
 #[derive(Debug, Clone, PartialEq)]

@@ -2,7 +2,6 @@
 //! (§III.A) — sources, sanitizers/filters, revert functions and sensitive
 //! sinks — plus the input-vector taxonomy of §V.C / Table II.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -13,7 +12,7 @@ pub use vuln_taxonomy::{SourceKind, TaintLabels, VectorClass, VulnClass};
 
 /// A possibly receiver-qualified callable name, e.g. plain `intval` or
 /// `wpdb::get_results` (reachable through `$wpdb->get_results(...)`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FuncName {
     /// Receiver class for methods (`wpdb`), `None` for plain functions.
     /// Stored lowercase.
@@ -51,7 +50,7 @@ impl fmt::Display for FuncName {
 }
 
 /// A taint source entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SourceSpec {
     /// A superglobal (or other global) variable whose elements are tainted.
     Superglobal {
@@ -70,7 +69,7 @@ pub enum SourceSpec {
 }
 
 /// A sanitizer entry: calling it untaints its argument for `protects`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SanitizerSpec {
     /// Function or method name.
     pub name: FuncName,
@@ -79,14 +78,14 @@ pub struct SanitizerSpec {
 }
 
 /// A revert entry: calling it undoes prior sanitization (`stripslashes`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RevertSpec {
     /// Function or method name.
     pub name: FuncName,
 }
 
 /// A sensitive sink entry: passing tainted data to it manifests `class`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SinkSpec {
     /// Function or method name (`echo`/`print` are handled as language
     /// constructs by the analyzer, not listed here).
@@ -100,7 +99,7 @@ pub struct SinkSpec {
 /// The complete configuration consumed by an analyzer: phpSAFE's
 /// `class-vulnerable-input.php`, `class-vulnerable-filter.php` and
 /// `class-vulnerable_output.php` rolled into one queryable structure.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TaintConfig {
     /// Profile name (for reports), e.g. `"php"` or `"wordpress"`.
     pub profile: String,

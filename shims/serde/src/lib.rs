@@ -1,113 +1,29 @@
 //! Offline stand-in for `serde`.
 //!
 //! The build container cannot reach crates.io, so this crate provides the
-//! small JSON-oriented subset of serde the workspace uses: `Serialize` /
-//! `Deserialize` traits, a streaming JSON [`Serializer`], a parsed JSON
-//! [`Value`] tree, and impls for the std types that appear in derived
-//! structs. The derive macros live in `shims/serde_derive` and generate
-//! code against exactly this API.
+//! small write-only subset of serde the workspace uses: the `Serialize`
+//! trait, a streaming JSON [`Serializer`], and impls for the std types
+//! that appear in the serialized structs. The derive macro lives in
+//! `shims/serde_derive` and generates code against exactly this API.
+//! Strings are escaped by `phpsafe_obs::json::write_str`, the escaper
+//! every JSON document of the workspace goes through; the workspace reads
+//! JSON back only with `phpsafe_obs::json::parse`.
 //!
-//! Wire-format notes (self-consistent; only this shim reads its output):
+//! Wire-format notes:
 //! * scalars, strings, `Option`, `Vec`, structs and enums follow
 //!   serde_json's layout;
-//! * maps and sets serialize as arrays (`[[key, value], ...]` / `[v, ...]`)
-//!   sorted by serialized key so output is deterministic even for
-//!   `HashMap`s with non-string keys such as `HashMap<FuncName, _>`.
+//! * control characters other than `\n`, `\r` and `\t` are written as
+//!   `\u00XX` (serde_json writes `\b` and `\f` for U+0008 and U+000C);
+//! * sets serialize as arrays sorted by each element's serialized text.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::fmt;
-use std::hash::Hash;
+use std::collections::BTreeSet;
+use std::fmt::Write as _;
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 /// Serialization: write `self` into the streaming JSON writer.
 pub trait Serialize {
     fn serialize(&self, s: &mut Serializer);
-}
-
-/// Deserialization: rebuild `Self` from a parsed JSON [`Value`].
-pub trait Deserialize: Sized {
-    fn deserialize(v: &Value) -> Result<Self, Error>;
-}
-
-// ------------------------------------------------------------------- errors
-
-/// Deserialization (or parse) error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Error {
-    message: String,
-}
-
-impl Error {
-    /// "expected an object while deserializing `Span`"-style error.
-    pub fn expected(what: &str, ty: &str) -> Error {
-        Error {
-            message: format!("expected {what} while deserializing `{ty}`"),
-        }
-    }
-
-    /// Free-form error.
-    pub fn msg(message: String) -> Error {
-        Error { message }
-    }
-}
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.message)
-    }
-}
-
-impl std::error::Error for Error {}
-
-// -------------------------------------------------------------------- value
-
-/// A parsed JSON document.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    /// Object entries in source order.
-    Obj(Vec<(String, Value)>),
-}
-
-static NULL: Value = Value::Null;
-
-impl Value {
-    pub fn as_obj(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Obj(pairs) => Some(pairs),
-            _ => None,
-        }
-    }
-
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-}
-
-/// Looks up `name` in an object's entries; missing keys read as `null`
-/// so `Option` fields deserialize to `None`.
-pub fn obj_field<'a>(obj: &'a [(String, Value)], name: &str) -> &'a Value {
-    obj.iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .unwrap_or(&NULL)
-}
-
-/// Indexes an array's entries; out-of-range reads as `null`.
-pub fn arr_item(arr: &[Value], idx: usize) -> &Value {
-    arr.get(idx).unwrap_or(&NULL)
 }
 
 // --------------------------------------------------------------- serializer
@@ -166,26 +82,6 @@ impl Serializer {
         }
     }
 
-    fn push_escaped(&mut self, s: &str) {
-        self.out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => self.out.push_str("\\\""),
-                '\\' => self.out.push_str("\\\\"),
-                '\n' => self.out.push_str("\\n"),
-                '\r' => self.out.push_str("\\r"),
-                '\t' => self.out.push_str("\\t"),
-                '\u{8}' => self.out.push_str("\\b"),
-                '\u{c}' => self.out.push_str("\\f"),
-                c if (c as u32) < 0x20 => {
-                    self.out.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => self.out.push(c),
-            }
-        }
-        self.out.push('"');
-    }
-
     pub fn begin_obj(&mut self) {
         self.value_prefix();
         self.out.push('{');
@@ -229,7 +125,7 @@ impl Serializer {
                 self.newline_indent(depth);
             }
         }
-        self.push_escaped(name);
+        phpsafe_obs::json::write_str(&mut self.out, name);
         self.out.push(':');
         if self.pretty {
             self.out.push(' ');
@@ -239,7 +135,7 @@ impl Serializer {
 
     pub fn string(&mut self, v: &str) {
         self.value_prefix();
-        self.push_escaped(v);
+        phpsafe_obs::json::write_str(&mut self.out, v);
     }
 
     pub fn null(&mut self) {
@@ -254,251 +150,15 @@ impl Serializer {
 
     pub fn uint(&mut self, v: u64) {
         self.value_prefix();
-        self.out.push_str(&v.to_string());
-    }
-
-    pub fn int(&mut self, v: i64) {
-        self.value_prefix();
-        self.out.push_str(&v.to_string());
-    }
-
-    pub fn float(&mut self, v: f64) {
-        self.value_prefix();
-        if v.is_finite() {
-            // `{}` is the shortest round-trippable form; force a `.0` so the
-            // token stays a float, matching serde_json's ryu output.
-            let text = v.to_string();
-            self.out.push_str(&text);
-            if !text.contains(['.', 'e', 'E']) {
-                self.out.push_str(".0");
-            }
-        } else {
-            // JSON has no NaN/inf; serde_json writes null.
-            self.out.push_str("null");
-        }
+        let _ = write!(self.out, "{v}");
     }
 }
 
 /// Serializes `value` into JSON text (compact or pretty, 2-space indent).
-pub fn to_json_string<T: Serialize + ?Sized>(value: &T, pretty: bool) -> String {
+pub fn to_json<T: Serialize + ?Sized>(value: &T, pretty: bool) -> String {
     let mut s = Serializer::new(pretty);
     value.serialize(&mut s);
     s.finish()
-}
-
-// ------------------------------------------------------------------- parser
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn error(&self, what: &str) -> Error {
-        Error::msg(format!("JSON parse error at byte {}: {what}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8, what: &str) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(what))
-        }
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> Result<(), Error> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            Ok(())
-        } else {
-            Err(self.error("invalid literal"))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, Error> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'n') => {
-                self.eat_keyword("null")?;
-                Ok(Value::Null)
-            }
-            Some(b't') => {
-                self.eat_keyword("true")?;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') => {
-                self.eat_keyword("false")?;
-                Ok(Value::Bool(false))
-            }
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Arr(items));
-                        }
-                        _ => return Err(self.error("expected `,` or `]`")),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut pairs = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Obj(pairs));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.eat(b':', "expected `:`")?;
-                    let value = self.parse_value()?;
-                    pairs.push((key, value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Obj(pairs));
-                        }
-                        _ => return Err(self.error("expected `,` or `}`")),
-                    }
-                }
-            }
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            _ => Err(self.error("expected a JSON value")),
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid number"))?;
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| self.error("invalid number"))
-    }
-
-    fn parse_string(&mut self) -> Result<String, Error> {
-        self.eat(b'"', "expected `\"`")?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.parse_hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: expect `\uDClo`.
-                                self.eat(b'\\', "expected low surrogate")?;
-                                self.eat(b'u', "expected low surrogate")?;
-                                let lo = self.parse_hex4()?;
-                                let code =
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo.wrapping_sub(0xDC00));
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.error("invalid surrogate pair"))?
-                            } else {
-                                char::from_u32(hi)
-                                    .ok_or_else(|| self.error("invalid \\u escape"))?
-                            };
-                            out.push(c);
-                            // parse_hex4 leaves pos past the digits; undo the
-                            // +1 the outer loop is about to apply.
-                            self.pos -= 1;
-                        }
-                        _ => return Err(self.error("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy a full UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.error("eof"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return Err(self.error("unterminated string")),
-            }
-        }
-    }
-
-    fn parse_hex4(&mut self) -> Result<u32, Error> {
-        let end = self.pos + 4;
-        let digits = self
-            .bytes
-            .get(self.pos..end)
-            .and_then(|b| std::str::from_utf8(b).ok())
-            .ok_or_else(|| self.error("truncated \\u escape"))?;
-        let v = u32::from_str_radix(digits, 16).map_err(|_| self.error("bad \\u escape"))?;
-        self.pos = end;
-        Ok(v)
-    }
-}
-
-/// Parses JSON text into a [`Value`].
-pub fn parse_json(text: &str) -> Result<Value, Error> {
-    let mut p = Parser::new(text);
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.error("trailing characters"));
-    }
-    Ok(v)
 }
 
 // ------------------------------------------------------------- scalar impls
@@ -510,96 +170,14 @@ macro_rules! impl_uint {
                 s.uint(*self as u64);
             }
         }
-        impl Deserialize for $t {
-            fn deserialize(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Num(n) if n.fract() == 0.0 && *n >= 0.0 => Ok(*n as $t),
-                    _ => Err(Error::expected("unsigned integer", stringify!($t))),
-                }
-            }
-        }
     )*};
 }
 
-macro_rules! impl_int {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn serialize(&self, s: &mut Serializer) {
-                s.int(*self as i64);
-            }
-        }
-        impl Deserialize for $t {
-            fn deserialize(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Num(n) if n.fract() == 0.0 => Ok(*n as $t),
-                    _ => Err(Error::expected("integer", stringify!($t))),
-                }
-            }
-        }
-    )*};
-}
-
-impl_uint!(u8, u16, u32, u64, usize);
-impl_int!(i8, i16, i32, i64, isize);
-
-impl Serialize for f64 {
-    fn serialize(&self, s: &mut Serializer) {
-        s.float(*self);
-    }
-}
-
-impl Deserialize for f64 {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Num(n) => Ok(*n),
-            _ => Err(Error::expected("number", "f64")),
-        }
-    }
-}
-
-impl Serialize for f32 {
-    fn serialize(&self, s: &mut Serializer) {
-        s.float(f64::from(*self));
-    }
-}
-
-impl Deserialize for f32 {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Num(n) => Ok(*n as f32),
-            _ => Err(Error::expected("number", "f32")),
-        }
-    }
-}
+impl_uint!(u16, u32, u64, usize);
 
 impl Serialize for bool {
     fn serialize(&self, s: &mut Serializer) {
         s.boolean(*self);
-    }
-}
-
-impl Deserialize for bool {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(Error::expected("boolean", "bool")),
-        }
-    }
-}
-
-impl Serialize for char {
-    fn serialize(&self, s: &mut Serializer) {
-        let mut buf = [0u8; 4];
-        s.string(self.encode_utf8(&mut buf));
-    }
-}
-
-impl Deserialize for char {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(t) if t.chars().count() == 1 => Ok(t.chars().next().unwrap()),
-            _ => Err(Error::expected("single-character string", "char")),
-        }
     }
 }
 
@@ -615,30 +193,6 @@ impl Serialize for String {
     }
 }
 
-impl Deserialize for String {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(t) => Ok(t.clone()),
-            _ => Err(Error::expected("string", "String")),
-        }
-    }
-}
-
-impl Serialize for () {
-    fn serialize(&self, s: &mut Serializer) {
-        s.null();
-    }
-}
-
-impl Deserialize for () {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(()),
-            _ => Err(Error::expected("null", "()")),
-        }
-    }
-}
-
 // ---------------------------------------------------------- container impls
 
 impl<T: Serialize + ?Sized> Serialize for &T {
@@ -647,32 +201,11 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     }
 }
 
-impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn serialize(&self, s: &mut Serializer) {
-        (**self).serialize(s);
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        Ok(Box::new(T::deserialize(v)?))
-    }
-}
-
 impl<T: Serialize> Serialize for Option<T> {
     fn serialize(&self, s: &mut Serializer) {
         match self {
             Some(inner) => inner.serialize(s),
             None => s.null(),
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => Ok(Some(T::deserialize(other)?)),
         }
     }
 }
@@ -693,139 +226,21 @@ impl<T: Serialize> Serialize for Vec<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        let items = v.as_arr().ok_or_else(|| Error::expected("array", "Vec"))?;
-        items.iter().map(T::deserialize).collect()
+impl<T: Serialize> Serialize for BTreeSet<T> {
+    fn serialize(&self, s: &mut Serializer) {
+        let mut items: Vec<(String, &T)> = self.iter().map(|t| (to_json(t, false), t)).collect();
+        items.sort_by(|a, b| a.0.cmp(&b.0));
+        s.begin_arr();
+        for (_, item) in items {
+            item.serialize(s);
+        }
+        s.end_arr();
     }
 }
-
-macro_rules! impl_tuple {
-    ($(($($t:ident : $k:tt),+))*) => {$(
-        impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn serialize(&self, s: &mut Serializer) {
-                s.begin_arr();
-                $(self.$k.serialize(s);)+
-                s.end_arr();
-            }
-        }
-        impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn deserialize(v: &Value) -> Result<Self, Error> {
-                let arr = v.as_arr().ok_or_else(|| Error::expected("array", "tuple"))?;
-                Ok(($($t::deserialize(arr_item(arr, $k))?,)+))
-            }
-        }
-    )*};
-}
-
-impl_tuple! {
-    (A: 0, B: 1)
-    (A: 0, B: 1, C: 2)
-    (A: 0, B: 1, C: 2, D: 3)
-}
-
-/// Sorts map/set entries by their serialized-key text so iteration-order
-/// randomness in `HashMap`/`HashSet` never reaches the output.
-fn sorted_by_key_text<T>(items: impl Iterator<Item = T>, key: impl Fn(&T) -> String) -> Vec<T> {
-    let mut entries: Vec<(String, T)> = items.map(|t| (key(&t), t)).collect();
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-    entries.into_iter().map(|(_, t)| t).collect()
-}
-
-macro_rules! impl_map {
-    ($map:ident, $($bound:tt)+) => {
-        impl<K: Serialize, V: Serialize> Serialize for $map<K, V> {
-            fn serialize(&self, s: &mut Serializer) {
-                s.begin_arr();
-                for (k, v) in
-                    sorted_by_key_text(self.iter(), |(k, _)| to_json_string(*k, false))
-                {
-                    s.begin_arr();
-                    k.serialize(s);
-                    v.serialize(s);
-                    s.end_arr();
-                }
-                s.end_arr();
-            }
-        }
-        impl<K: Deserialize + $($bound)+, V: Deserialize> Deserialize for $map<K, V> {
-            fn deserialize(v: &Value) -> Result<Self, Error> {
-                let items = v
-                    .as_arr()
-                    .ok_or_else(|| Error::expected("array of pairs", "map"))?;
-                items
-                    .iter()
-                    .map(|item| {
-                        let pair = item
-                            .as_arr()
-                            .ok_or_else(|| Error::expected("[key, value] pair", "map"))?;
-                        Ok((
-                            K::deserialize(arr_item(pair, 0))?,
-                            V::deserialize(arr_item(pair, 1))?,
-                        ))
-                    })
-                    .collect()
-            }
-        }
-    };
-}
-
-impl_map!(HashMap, Eq + Hash);
-impl_map!(BTreeMap, Ord);
-
-macro_rules! impl_set {
-    ($set:ident, $($bound:tt)+) => {
-        impl<T: Serialize> Serialize for $set<T> {
-            fn serialize(&self, s: &mut Serializer) {
-                s.begin_arr();
-                for item in sorted_by_key_text(self.iter(), |t| to_json_string(*t, false)) {
-                    item.serialize(s);
-                }
-                s.end_arr();
-            }
-        }
-        impl<T: Deserialize + $($bound)+> Deserialize for $set<T> {
-            fn deserialize(v: &Value) -> Result<Self, Error> {
-                let items = v.as_arr().ok_or_else(|| Error::expected("array", "set"))?;
-                items.iter().map(T::deserialize).collect()
-            }
-        }
-    };
-}
-
-impl_set!(HashSet, Eq + Hash);
-impl_set!(BTreeSet, Ord);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn roundtrip_scalars() {
-        for text in ["null", "true", "false", "42.0", "-1.5", "\"hi\\n\""] {
-            assert!(parse_json(text).is_ok(), "{text}");
-        }
-        assert_eq!(parse_json("42").unwrap(), Value::Num(42.0));
-    }
-
-    #[test]
-    fn escapes_roundtrip() {
-        let mut s = Serializer::new(false);
-        s.string("a\"b\\c\nd\u{1}e");
-        let text = s.finish();
-        assert_eq!(
-            parse_json(&text).unwrap(),
-            Value::Str("a\"b\\c\nd\u{1}e".into())
-        );
-    }
-
-    #[test]
-    fn unicode_escape_parses() {
-        assert_eq!(
-            parse_json("\"\\u0041\\ud83d\\ude00\"").unwrap(),
-            Value::Str("A😀".into())
-        );
-    }
 
     #[test]
     fn pretty_object_layout() {
@@ -846,13 +261,12 @@ mod tests {
     }
 
     #[test]
-    fn map_serialization_is_sorted() {
-        let mut m = HashMap::new();
-        m.insert("b".to_string(), 2u32);
-        m.insert("a".to_string(), 1u32);
-        assert_eq!(to_json_string(&m, false), "[[\"a\",1],[\"b\",2]]");
-        let back: HashMap<String, u32> =
-            Deserialize::deserialize(&parse_json("[[\"a\",1],[\"b\",2]]").unwrap()).unwrap();
-        assert_eq!(back, m);
+    fn strings_and_sets_are_escaped_and_sorted_by_their_text() {
+        let mut s = Serializer::new(false);
+        s.string("a\"b\\c\nd\u{1}\u{8}e");
+        assert_eq!(s.finish(), r#""a\"b\\c\nd\u0001\u0008e""#);
+        // `a"` sorts after `a#` once escaped: by text, not by value.
+        let set: BTreeSet<String> = ["a#", "a\"", "B"].map(String::from).into();
+        assert_eq!(to_json(&set, false), r#"["B","a#","a\""]"#);
     }
 }

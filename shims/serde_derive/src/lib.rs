@@ -2,8 +2,8 @@
 //!
 //! The build container has no network access to crates.io, so the real
 //! serde stack cannot be vendored. This proc-macro crate implements the
-//! `#[derive(Serialize)]` / `#[derive(Deserialize)]` subset the workspace
-//! actually uses, generating impls of the vendored `serde` facade's traits
+//! `#[derive(Serialize)]` subset the workspace
+//! actually uses, generating impls of the vendored `serde` facade's trait
 //! (see `shims/serde`). The wire format mirrors serde_json's defaults:
 //!
 //! * named struct        → `{"field": value, ...}`
@@ -219,7 +219,7 @@ fn compile_error(msg: &str) -> TokenStream {
 
 // ---------------------------------------------------------------- Serialize
 
-fn serialize_named(target: &str, names: &[String], access: &str) -> String {
+fn serialize_named(names: &[String], access: &str) -> String {
     let mut body = String::from("s.begin_obj();");
     for n in names {
         body.push_str(&format!(
@@ -227,7 +227,6 @@ fn serialize_named(target: &str, names: &[String], access: &str) -> String {
         ));
     }
     body.push_str("s.end_obj();");
-    let _ = target;
     body
 }
 
@@ -240,7 +239,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let (name, body) = match &item {
         Item::Struct { name, fields } => {
             let body = match fields {
-                Fields::Named(names) => serialize_named(name, names, "&self."),
+                Fields::Named(names) => serialize_named(names, "&self."),
                 Fields::Unnamed(1) => "::serde::Serialize::serialize(&self.0, s);".to_string(),
                 Fields::Unnamed(n) => {
                     let mut b = String::from("s.begin_arr();");
@@ -283,7 +282,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                     }
                     Fields::Named(fields) => {
                         let binds = fields.join(", ");
-                        let inner = serialize_named(name, fields, "");
+                        let inner = serialize_named(fields, "");
                         arms.push_str(&format!(
                             "{name}::{vn} {{ {binds} }} => {{ s.begin_obj(); s.key({vn:?}); \
                              {inner} s.end_obj(); }}"
@@ -301,125 +300,4 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
          }}"
     );
     out.parse().expect("generated Serialize impl")
-}
-
-// -------------------------------------------------------------- Deserialize
-
-fn deserialize_named(ty: &str, path: &str, names: &[String], src: &str) -> String {
-    let mut fields = String::new();
-    for n in names {
-        fields.push_str(&format!(
-            "{n}: ::serde::Deserialize::deserialize(::serde::obj_field({src}, {n:?}))?,"
-        ));
-    }
-    let _ = ty;
-    format!("::std::result::Result::Ok({path} {{ {fields} }})")
-}
-
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = match parse_item(input) {
-        Ok(i) => i,
-        Err(e) => return compile_error(&e),
-    };
-    let (name, body) = match &item {
-        Item::Struct { name, fields } => {
-            let body = match fields {
-                Fields::Named(names) => {
-                    let build = deserialize_named(name, name, names, "obj");
-                    format!(
-                        "let obj = v.as_obj().ok_or_else(|| \
-                         ::serde::Error::expected(\"object\", {name:?}))?; {build}"
-                    )
-                }
-                Fields::Unnamed(1) => format!(
-                    "::std::result::Result::Ok({name}(::serde::Deserialize::deserialize(v)?))"
-                ),
-                Fields::Unnamed(n) => {
-                    let mut parts = String::new();
-                    for k in 0..*n {
-                        parts.push_str(&format!(
-                            "::serde::Deserialize::deserialize(::serde::arr_item(arr, {k}))?,"
-                        ));
-                    }
-                    format!(
-                        "let arr = v.as_arr().ok_or_else(|| \
-                         ::serde::Error::expected(\"array\", {name:?}))?; \
-                         ::std::result::Result::Ok({name}({parts}))"
-                    )
-                }
-                Fields::Unit => format!("::std::result::Result::Ok({name})"),
-            };
-            (name.clone(), body)
-        }
-        Item::Enum { name, variants } => {
-            let mut unit_arms = String::new();
-            let mut data_arms = String::new();
-            for v in variants {
-                let vn = &v.name;
-                match &v.fields {
-                    Fields::Unit => {
-                        unit_arms.push_str(&format!(
-                            "{vn:?} => ::std::result::Result::Ok({name}::{vn}),"
-                        ));
-                    }
-                    Fields::Unnamed(1) => {
-                        data_arms.push_str(&format!(
-                            "{vn:?} => ::std::result::Result::Ok({name}::{vn}(\
-                             ::serde::Deserialize::deserialize(inner)?)),"
-                        ));
-                    }
-                    Fields::Unnamed(n) => {
-                        let mut parts = String::new();
-                        for k in 0..*n {
-                            parts.push_str(&format!(
-                                "::serde::Deserialize::deserialize(::serde::arr_item(arr, {k}))?,"
-                            ));
-                        }
-                        data_arms.push_str(&format!(
-                            "{vn:?} => {{ let arr = inner.as_arr().ok_or_else(|| \
-                             ::serde::Error::expected(\"array\", {vn:?}))?; \
-                             ::std::result::Result::Ok({name}::{vn}({parts})) }}"
-                        ));
-                    }
-                    Fields::Named(fields) => {
-                        let build =
-                            deserialize_named(name, &format!("{name}::{vn}"), fields, "obj");
-                        data_arms.push_str(&format!(
-                            "{vn:?} => {{ let obj = inner.as_obj().ok_or_else(|| \
-                             ::serde::Error::expected(\"object\", {vn:?}))?; {build} }}"
-                        ));
-                    }
-                }
-            }
-            let body = format!(
-                "match v {{\n\
-                   ::serde::Value::Str(tag) => match tag.as_str() {{\n\
-                     {unit_arms}\n\
-                     other => ::std::result::Result::Err(::serde::Error::msg(\
-                       ::std::format!(\"unknown variant `{{other}}` for {name}\"))),\n\
-                   }},\n\
-                   ::serde::Value::Obj(pairs) if pairs.len() == 1 => {{\n\
-                     let (tag, inner) = &pairs[0];\n\
-                     match tag.as_str() {{\n\
-                       {data_arms}\n\
-                       other => ::std::result::Result::Err(::serde::Error::msg(\
-                         ::std::format!(\"unknown variant `{{other}}` for {name}\"))),\n\
-                     }}\n\
-                   }},\n\
-                   _ => ::std::result::Result::Err(::serde::Error::expected(\
-                     \"string or single-key object\", {name:?})),\n\
-                 }}"
-            );
-            (name.clone(), body)
-        }
-    };
-    let out = format!(
-        "#[automatically_derived]\n\
-         impl ::serde::Deserialize for {name} {{\n\
-             fn deserialize(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> \
-             {{ {body} }}\n\
-         }}"
-    );
-    out.parse().expect("generated Deserialize impl")
 }

@@ -1,47 +1,35 @@
 //! Offline stand-in for `serde_json`.
 //!
-//! Exposes the `to_string` / `to_string_pretty` / `from_str` surface the
-//! workspace uses, delegating to the vendored `serde` facade's streaming
-//! writer and JSON parser (see `shims/serde` for wire-format notes).
+//! Exposes the `to_string` / `to_string_pretty` surface the workspace
+//! uses, delegating to the vendored `serde` facade's streaming writer (see
+//! `shims/serde` for wire-format notes). The workspace reads JSON only
+//! with `phpsafe_obs::json::parse`.
 
 use std::fmt;
 
-pub use serde::Value;
-
-/// Serialization/deserialization error.
+/// Serialization error. Writing into a `String` cannot fail, so no value
+/// of this type exists; it keeps serde_json's `Result` signatures.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Error(serde::Error);
+pub enum Error {}
 
 impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
+    fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {}
     }
 }
 
 impl std::error::Error for Error {}
 
-impl From<serde::Error> for Error {
-    fn from(e: serde::Error) -> Error {
-        Error(e)
-    }
-}
-
 pub type Result<T> = std::result::Result<T, Error>;
 
 /// Serializes `value` as compact JSON.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String> {
-    Ok(serde::to_json_string(value, false))
+    Ok(serde::to_json(value, false))
 }
 
 /// Serializes `value` as pretty JSON (2-space indent).
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String> {
-    Ok(serde::to_json_string(value, true))
-}
-
-/// Parses JSON text into `T`.
-pub fn from_str<T: serde::Deserialize>(text: &str) -> Result<T> {
-    let value = serde::parse_json(text)?;
-    Ok(T::deserialize(&value)?)
+    Ok(serde::to_json(value, true))
 }
 
 #[cfg(test)]
@@ -49,26 +37,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn vec_roundtrip() {
+    fn vec_and_option_bytes() {
         let v = vec!["a".to_string(), "b\"c".to_string()];
-        let text = to_string(&v).unwrap();
-        assert_eq!(text, "[\"a\",\"b\\\"c\"]");
-        let back: Vec<String> = from_str(&text).unwrap();
-        assert_eq!(back, v);
-    }
-
-    #[test]
-    fn option_roundtrip() {
-        let text = to_string(&Some(3u32)).unwrap();
-        let back: Option<u32> = from_str(&text).unwrap();
-        assert_eq!(back, Some(3));
-        let none: Option<u32> = from_str("null").unwrap();
-        assert_eq!(none, None);
-    }
-
-    #[test]
-    fn parse_error_reports_position() {
-        let err = from_str::<Vec<u32>>("[1,").unwrap_err();
-        assert!(err.to_string().contains("parse error"));
+        assert_eq!(to_string(&v).unwrap(), "[\"a\",\"b\\\"c\"]");
+        assert_eq!(to_string(&vec![Some(3u32), None]).unwrap(), "[3,null]");
+        assert_eq!(
+            to_string_pretty(&v).unwrap(),
+            "[\n  \"a\",\n  \"b\\\"c\"\n]"
+        );
     }
 }

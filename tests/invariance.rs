@@ -4,15 +4,17 @@
 //! cache state, serving path and instrumentation setting.
 //!
 //! [`MATRIX`] has one line per configuration of the whole evaluation. The
-//! checks a row cannot express (counter pins, daemon replies, incremental
-//! bounds, key collisions, the ZAST round trip) are the tests after it.
+//! checks a row cannot express (the JSON documents' bytes, counter pins,
+//! daemon replies, incremental bounds, key collisions, the ZAST round
+//! trip) are the tests after it.
 
 mod harness;
 
 use harness::*;
 use phpsafe::caching::{FileUnit, AST_NAMESPACE};
 use phpsafe::{
-    affected_files, explain_outcome, load_project, EngineCaches, PhpSafe, PluginProject, SourceFile,
+    affected_files, explain_outcome, load_project, AnalysisServer, EngineCaches, PhpSafe,
+    PluginProject, SourceFile,
 };
 use phpsafe_baselines::{paper_tools, Pixy, Rips};
 use phpsafe_corpus::{Corpus, GeneratedPlugin, Version};
@@ -158,6 +160,11 @@ fn every_configuration_renders_the_golden_artifacts() {
         if obs && !matches!(run, Run::Serial) {
             assert_eq!(count("engine.jobs_run"), jobs, "{row}");
         }
+        if obs {
+            // One queue-wait sample per job the pool picked up.
+            let waits = snap.histogram("engine.queue_wait").map_or(0, |h| h.count);
+            assert_eq!(waits, count("engine.jobs_run"), "{row}");
+        }
         if obs && matches!(run, Run::Fresh(_) | Run::Shared(_)) {
             // 3 tools x 2 versions share most file contents, so the parse
             // cache must show reuse, and leaf summaries carry across versions.
@@ -254,20 +261,48 @@ fn explain_chains_render_the_golden_under_every_load_path() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Capturing taint events and restricting the registry to the paper's
-/// classes may not change any corpus outcome.
+/// The JSON documents the tools write, byte for byte: each (tool,
+/// version) cell's 35 reports (serial, uncached) and `corpus-dump`'s
+/// ground truth as digests in `reports.txt`, and the probe's `--inspect`
+/// inventory in full. Capturing taint events and restricting the registry
+/// to the paper's classes may not change any phpSAFE outcome.
 #[test]
-fn explained_and_restricted_analyses_match_plain_outcomes() {
+fn json_documents_render_their_goldens() {
     let _obs = obs_lock();
+    let corpus = Corpus::generate();
     let full = PhpSafe::new();
     let restricted = PhpSafe::new().with_config(full.config().restricted_to(&VulnClass::PAPER));
-    for project in all_projects(&Corpus::generate()) {
-        let plain = full.analyze(project);
-        let (explained, _) = full.analyze_explained(project, None);
-        assert_eq!(explained, plain, "events changed {}", project.name());
-        let paper = restricted.analyze(project);
-        assert_eq!(paper, plain, "registry changed {}", project.name());
+    let mut text = String::new();
+    let mut digest = |what: &str, doc: &str| {
+        let hash = ContentKey::of(doc.as_bytes()).hash;
+        writeln!(text, "{what} bytes={} digest={hash:016x}", doc.len()).unwrap();
+    };
+    for tool in paper_tools() {
+        for version in Version::ALL {
+            let mut reports = String::new();
+            for project in corpus.plugins().iter().map(|p| p.project(version)) {
+                let outcome = tool.analyze(project);
+                if tool.name() == "phpSAFE" {
+                    let (explained, _) = full.analyze_explained(project, None);
+                    assert_eq!(explained, outcome, "events changed {}", project.name());
+                    let paper = restricted.analyze(project);
+                    assert_eq!(paper, outcome, "registry changed {}", project.name());
+                }
+                reports += &outcome.to_json().unwrap();
+            }
+            digest(&format!("{} {version:?}", tool.name()), &reports);
+        }
     }
+    let truth: Vec<_> = corpus.plugins().iter().flat_map(|p| &p.truth).collect();
+    digest(
+        "ground_truth.json",
+        &serde_json::to_string_pretty(&truth).unwrap(),
+    );
+    let inventory = serde_json::to_string_pretty(&phpsafe::inspect(&probe_project())).unwrap();
+    assert_goldens(
+        "json",
+        &[("reports.txt", text), ("inspect-probe.json", inventory)],
+    );
 }
 
 /// Summary hits and misses of a cold then a warm pass over both versions
@@ -548,6 +583,37 @@ fn dirty_buffer_overlay_is_byte_identical_to_saving_the_edit() {
     assert!(fully_cached(&disk_again));
     assert_eq!(reports_of(&disk_again), cold);
     stop(&daemon);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A buffer whose non-BMP characters the client escaped as UTF-16
+/// surrogate pairs, as Python's default `json.dumps` does, analyzes
+/// exactly like the same edit saved to disk.
+#[test]
+fn surrogate_pair_escaped_buffer_is_byte_identical_to_saving_the_edit() {
+    let _obs = obs_lock();
+    let root = temp_dir("surrogates");
+    let edited = "<?php $greet = '😀 ' . $_GET['q'];\necho $greet;\n";
+    let save = |parent: &str, content: &str| {
+        let project = PluginProject::new("probe").with_file(SourceFile::new("index.php", content));
+        write_project(&project, &root.join(parent))
+    };
+    let plugin = save("plugins", "<?php echo 1;\n");
+    let path = plugin.join("index.php").display().to_string();
+    let line = analyze_line(&plugin, &[], &[(path, edited.to_owned())]);
+    let escaped = line.replace('😀', r"\ud83d\ude00");
+    assert_ne!(escaped, line);
+
+    let daemon = start(AnalysisServer::new());
+    let overlaid = reports_of(&ask(&daemon, &escaped));
+    stop(&daemon);
+    let batch = PhpSafe::new().analyze(&load_project(&save("alt", edited)).unwrap());
+    let batch = batch.to_json().unwrap();
+    assert!(
+        batch.contains("😀"),
+        "the report must quote the edit: {batch}"
+    );
+    assert_eq!(overlaid, [batch]);
     let _ = std::fs::remove_dir_all(&root);
 }
 
