@@ -29,6 +29,7 @@ mod catalog;
 mod codegen;
 mod generate;
 mod spec;
+mod stress;
 
 pub use catalog::{
     catalog, taxonomy_catalog, MONSTER_CARRIED, PLUGIN_NAMES, TAXONOMY_PLUGIN_NAMES,
@@ -36,3 +37,4 @@ pub use catalog::{
 pub use codegen::{emit_noise, emit_plugin_header, FileBuilder};
 pub use generate::{Corpus, GeneratedPlugin};
 pub use spec::{GroundTruthEntry, Pattern, PatternCount, Placement, PluginSpec, Style, Version};
+pub use stress::{mutate, MUTATION_KINDS};

@@ -5,7 +5,7 @@
 use php_ast::parse_tokens;
 use php_lexer::tokenize;
 use phpsafe::{PhpSafe, PluginProject, SourceFile};
-use phpsafe_corpus::{Corpus, Version};
+use phpsafe_corpus::{mutate, Corpus, Version, MUTATION_KINDS};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -24,52 +24,6 @@ fn sources() -> &'static [String] {
     })
 }
 
-/// Openers that are never closed: a string whose quote character is
-/// stripped from the rest of the file, or a heredoc/nowdoc whose label
-/// the corpus never uses.
-const UNTERMINATED: [(&str, Option<char>); 4] = [
-    ("'", Some('\'')),
-    ("\"", Some('"')),
-    ("<<<EOT_STRESS\n", None),
-    ("<<<'EOT_STRESS'\n", None),
-];
-
-/// Breaks `src` at the char boundary at or before byte `at` (taken modulo
-/// the length), the way `kind` says; `arg` sizes the damage.
-fn mutate(src: &str, kind: u8, at: u64, arg: usize) -> String {
-    let mut cut = (at % (src.len() as u64 + 1)) as usize;
-    while !src.is_char_boundary(cut) {
-        cut -= 1;
-    }
-    let (head, tail) = src.split_at(cut);
-    match kind {
-        // Truncation.
-        0 => head.to_string(),
-        // One flipped byte, repaired to UTF-8 the lossy way.
-        1 => {
-            let mut bytes = src.as_bytes().to_vec();
-            if let Some(b) = bytes.get_mut(cut) {
-                *b ^= (arg as u8) | 1;
-            }
-            String::from_utf8_lossy(&bytes).into_owned()
-        }
-        // Deep expression or statement nesting, never closed.
-        2 => {
-            let open = ["(", "[", "{", "if ($a) {"][arg % 4];
-            format!("{head}{}{tail}", open.repeat(arg))
-        }
-        // An unterminated string or heredoc.
-        _ => {
-            let (open, quote) = UNTERMINATED[arg % UNTERMINATED.len()];
-            let tail = match quote {
-                Some(q) => tail.replace(q, ""),
-                None => tail.to_string(),
-            };
-            format!("{head}{open}{tail}")
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
@@ -78,7 +32,7 @@ proptest! {
     #[test]
     fn mutated_corpus_files_lex_parse_and_round_trip(
         file in 0..sources().len(),
-        kind in 0u8..4,
+        kind in 0..MUTATION_KINDS,
         at in 0..u64::MAX,
         arg in 1usize..2048,
     ) {
