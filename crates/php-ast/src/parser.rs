@@ -12,7 +12,7 @@
 //! a few flat buffers rather than a pointer tree.
 
 use crate::ast::*;
-use php_lexer::{tokenize, Token, TokenKind as K};
+use php_lexer::{tokenize_significant, Token, TokenKind as K};
 use phpsafe_intern::Symbol;
 
 /// Parses a complete PHP source file (HTML mode at start, like PHP itself).
@@ -26,7 +26,7 @@ use phpsafe_intern::Symbol;
 /// assert_eq!(file.top_stmts().len(), 1);
 /// ```
 pub fn parse(src: &str) -> ParsedFile {
-    parse_tokens(tokenize(src))
+    parse_significant(tokenize_significant(src))
 }
 
 /// Parses a pre-lexed token stream (trivia is filtered here, so the stream
@@ -44,8 +44,13 @@ pub fn parse(src: &str) -> ParsedFile {
 /// assert!(file.is_clean());
 /// ```
 pub fn parse_tokens(mut toks: Vec<Token<'_>>) -> ParsedFile {
-    let _span = phpsafe_obs::span!("stage.parse", toks.len());
     toks.retain(|t| !t.kind.is_trivia());
+    parse_significant(toks)
+}
+
+/// Parses a token stream that holds no trivia.
+fn parse_significant(toks: Vec<Token<'_>>) -> ParsedFile {
+    let _span = phpsafe_obs::span!("stage.parse", toks.len());
     let file = Parser::new(toks).parse_file();
     phpsafe_obs::count("parse.files", 1);
     phpsafe_obs::count("parse.errors", file.errors.len() as u64);

@@ -124,3 +124,48 @@ fn significant_filters_whitespace_deterministically() {
     assert_eq!(a, b);
     assert!(a.iter().all(|t| t.kind != TokenKind::Whitespace));
 }
+
+/// Byte dispatch must never slice inside a character. Every ASCII byte
+/// next to a multi-byte character, right after every opener and operator,
+/// lexes without a panic into texts that tile the input.
+#[test]
+fn multibyte_characters_after_every_opener_and_operator_tile_the_input() {
+    const MULTI: [&str; 5] = ["é", "\u{a0}", "\u{2028}", "\u{fffd}", "😀"];
+    const OPENERS: [&str; 11] = [
+        "",
+        "<<<EOT\n",
+        "<<<'EOT'\n",
+        "( ",
+        "\"$a->",
+        "\"$a[",
+        "\"{$",
+        "\"${",
+        "\"\\",
+        "'\\",
+        "?>",
+    ];
+    // Space-separated: string, comment and heredoc openers, number
+    // prefixes, then every operator and punctuation byte.
+    const TOKENS: &str = "\" ' ` <<< <<<' <<<\" /* /** // # $ \"$ ( 0x 0b 1. 1e 1e+ . ? <? \
+        === == => !== != <<= << <= <> >>= >> >= ... .= -> -- -= ++ += :: && &= || |= ** *= \
+        /= %= ^= ; , ) { } [ ] + - * / % = < > ! : & | ^ ~ @ \\";
+    let check = |src: &str| {
+        let mut offset = 0;
+        for t in tokenize(src) {
+            assert!(!t.text.is_empty(), "empty token in {src:?}");
+            assert_eq!(t.text.as_ptr(), src[offset..].as_ptr(), "{src:?}");
+            offset += t.text.len();
+        }
+        assert_eq!(offset, src.len(), "{src:?}");
+    };
+    for b in (0u8..0x80).map(char::from) {
+        for m in MULTI {
+            check(&format!("{m}{b}"));
+            for open in OPENERS.into_iter().chain(TOKENS.split_whitespace()) {
+                check(&format!("<?php {open}{b}{m}"));
+                check(&format!("<?php {open}{m}{b}"));
+                check(&format!("<?php {open}{m}>"));
+            }
+        }
+    }
+}
