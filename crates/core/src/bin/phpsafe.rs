@@ -27,7 +27,7 @@
 //! ```
 
 use phpsafe::{load_project, AnalysisServer, AnalyzerOptions, EngineCaches, PhpSafe};
-use phpsafe_engine::{effective_jobs_reported, run_ordered, DiskCache};
+use phpsafe_engine::{effective_jobs_reported, run_ordered};
 use phpsafe_serve::{bind, run_stdio, run_tcp, Daemon, ServerConfig};
 use std::io::Write;
 use std::path::PathBuf;
@@ -79,7 +79,8 @@ OPTIONS:
     --cache-dir <DIR>   persist parsed ASTs under DIR so later runs
                         (batch or daemon) of the same build warm-start
                         from disk; only `phpsafe serve` also caches
-                        rendered reports
+                        rendered reports. A DIR that cannot be opened
+                        warns and caches in memory only
     -h, --help          show this help
 
 SUBCOMMANDS:
@@ -117,6 +118,8 @@ OPTIONS:
                         stderr once the daemon is ready.
     --stdio             speak the protocol over stdin/stdout instead of TCP
     --cache-dir <DIR>   persistent artifact cache shared with batch runs
+                        (memory only, with a warning, if DIR cannot be
+                        opened)
     --profile <NAME>    wordpress (default) | php | drupal | joomla
     --jobs <N>          (path, tool) analyses one analyze request runs at
                         once, unless the request sets \"jobs\"
@@ -350,16 +353,10 @@ fn run_serve(argv: &[String]) -> ExitCode {
     // The daemon's whole point is the metrics/status surface; keep the
     // observability registry on for its lifetime.
     phpsafe_obs::set_enabled(true);
-    let caches = match &cli.cache_dir {
-        Some(dir) => match DiskCache::open(dir) {
-            Ok(disk) => EngineCaches::with_disk(Arc::new(disk)),
-            Err(e) => {
-                eprintln!("error: cannot open cache dir {}: {e}", dir.display());
-                return ExitCode::from(2);
-            }
-        },
-        None => EngineCaches::new(),
-    };
+    let caches = cli
+        .cache_dir
+        .as_deref()
+        .map_or_else(EngineCaches::new, EngineCaches::open);
     let jobs = effective_jobs_reported(cli.jobs);
     let mut server = AnalysisServer::with_caches(caches).with_default_jobs(jobs);
     server.register("phpSAFE", PhpSafe::new().with_config(config));
@@ -462,16 +459,10 @@ fn main() -> ExitCode {
     // Fan the projects across the engine's worker pool; output order
     // follows the command line regardless of scheduling.
     let analyzer = PhpSafe::new().with_config(config).with_options(options);
-    let caches = match &cli.cache_dir {
-        Some(dir) => match DiskCache::open(dir) {
-            Ok(disk) => EngineCaches::with_disk(Arc::new(disk)),
-            Err(e) => {
-                eprintln!("error: cannot open cache dir {}: {e}", dir.display());
-                return ExitCode::from(2);
-            }
-        },
-        None => EngineCaches::new(),
-    };
+    let caches = cli
+        .cache_dir
+        .as_deref()
+        .map_or_else(EngineCaches::new, EngineCaches::open);
     let jobs = effective_jobs_reported(cli.jobs);
     // Under --explain each analysis returns its own taint events, so a
     // chain is explained from the run that produced it.

@@ -50,6 +50,7 @@ const DECLARED_COUNTERS: &[&str] = &[
     "diskcache.bytes_read",
     "diskcache.bytes_written",
     "diskcache.store_failed",
+    "diskcache.open_failed",
     "depgraph.invalidated",
     "incremental.files_dirty",
     "incremental.files_reanalyzed",

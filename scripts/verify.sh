@@ -151,3 +151,21 @@ for ns in summary depgraph; do
         exit 1
     }
 done
+
+# Smoke: a --cache-dir that cannot be opened (here a regular file) warns
+# and caches in memory only. A clean batch run still exits 0, with the
+# bytes of a run without a cache.
+clean_plugin="$plugin_dir/clean-plugin"
+mkdir -p "$clean_plugin"
+printf '<?php echo "ok";\n' >"$clean_plugin/clean.php"
+touch "$serve_cache/not-a-dir"
+json_plain="$(cargo run -q --release --offline -p phpsafe --bin phpsafe -- --json "$clean_plugin")"
+json_degraded="$(cargo run -q --release --offline -p phpsafe --bin phpsafe -- \
+    --json --cache-dir "$serve_cache/not-a-dir" "$clean_plugin" 2>/dev/null)" || {
+    echo "verify: a batch run over an unusable --cache-dir did not exit 0" >&2
+    exit 1
+}
+[ "$json_plain" = "$json_degraded" ] || {
+    echo "verify: an unusable --cache-dir changed the batch --json bytes" >&2
+    exit 1
+}
